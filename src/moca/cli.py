@@ -13,20 +13,20 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import engine
 from . import kb as kb_mod
-from .kb import Finding, KnowledgeBase, Severity, ValidationReport
+from .kb import Finding, KnowledgeBase, ValidationReport
 from .model import (
     ConfigurationError,
     ContextFlag,
     CulturalProfile,
     DEFAULT_THRESHOLDS,
+    ElementKind,
     ImpactRule,
     ImpactSign,
     Level,
@@ -67,11 +67,6 @@ class RunConfig:
     elements: tuple[str, ...] | None = None
     output_format: OutputFormat = OutputFormat.TEXT
     out_path: Path | None = None
-    exit_policy: Mapping[Severity, int] = field(
-        default_factory=lambda: {Severity.ERROR: EXIT_INVALID, Severity.WARNING: EXIT_OK})
-
-    def __post_init__(self):
-        object.__setattr__(self, "exit_policy", MappingProxyType(dict(self.exit_policy)))
 
 
 def _expand_kb_path(path: Path) -> list[Path]:
@@ -130,12 +125,10 @@ def _finding_json(finding: Finding) -> dict:
     }
 
 
-def _report_exit_code(report: ValidationReport, config: RunConfig) -> int:
+def _report_exit_code(report: ValidationReport) -> int:
     if any(f.code in _INPUT_ERROR_CODES for f in report.errors):
         return EXIT_USAGE
-    if report.has_errors:
-        return config.exit_policy.get(Severity.ERROR, EXIT_INVALID)
-    return config.exit_policy.get(Severity.WARNING, EXIT_OK)
+    return EXIT_INVALID if report.has_errors else EXIT_OK
 
 
 def _require_kb(config: RunConfig) -> KnowledgeBase:
@@ -145,7 +138,7 @@ def _require_kb(config: RunConfig) -> KnowledgeBase:
         for finding in result.report.findings:
             print(_finding_line(finding), file=sys.stderr)
         raise CliError("knowledge base is not usable",
-                       _report_exit_code(result.report, config))
+                       _report_exit_code(result.report))
     return result.kb
 
 
@@ -197,12 +190,12 @@ def cmd_validate(config: RunConfig) -> int:
         _emit(config, _json_text(_validate_json(result.kb, report)))
     else:
         _emit(config, _validate_text(result.kb, report))
-    return _report_exit_code(report, config)
+    return _report_exit_code(report)
 
 
 def _kb_summary(kb: KnowledgeBase) -> dict:
-    practices = sum(1 for e in kb.elements if e.kind.value == "practice")
-    roles = sum(1 for e in kb.elements if e.kind.value == "role")
+    practices = sum(1 for e in kb.elements if e.kind is ElementKind.PRACTICE)
+    roles = sum(1 for e in kb.elements if e.kind is ElementKind.ROLE)
     return {
         "metrics": len(kb.metrics),
         "elements": len(kb.elements),

@@ -11,12 +11,24 @@ Per element, each targeting rule lands in exactly one bucket:
 Contributions add up to an integer score that maps onto a five-point
 qualitative label. The integer is an ordering device; the per-rule trace
 is always carried alongside it.
+
+Each call compiles its scenarios once: one ``level_of`` call per profile
+metric, and one test per condition, made on first use and shared by every
+rule under that condition (as in a Rete network's alpha memory). Rule
+polarities come from ``normalize`` the first time an element is evaluated
+and stay on the knowledge base. A rule's bucket is then a lookup on (level,
+condition truth, polarity) into 11 interned ``RuleOutcome`` values:
+indeterminate, dormant, gated, and fired x (+1/-1) x (LOW/HIGH) x
+(SATISFIED/NOT_APPLICABLE). ``evaluate`` and ``diff`` share that pass per
+element; ``diff`` compares the two scenarios' outcomes by identity and
+builds no assessments, so it costs no more than one evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -25,8 +37,6 @@ from .model import (
     ContextFlag,
     CulturalProfile,
     DEFAULT_THRESHOLDS,
-    ImpactCondition,
-    ImpactRule,
     ImpactSign,
     Level,
     check_thresholds,
@@ -129,8 +139,10 @@ class MatrixExport:
     """The full (metric x matrix-eligible element) grid.
 
     Rows keep metric declaration order; columns are element-id sorted.
-    Every cell key exists, covered or not, so the cell count is always
-    |metrics| x |eligible elements| independent of how many rules exist.
+    ``cells`` holds only the covered cells, each with its entries in rule-id
+    order; ``cell()`` answers for every cell of the grid, so the cell count
+    is always |metrics| x |eligible elements| independent of how many rules
+    exist.
     """
 
     metrics: tuple[str, ...]
@@ -140,76 +152,117 @@ class MatrixExport:
     def __post_init__(self):
         object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
 
+    @cached_property
+    def _grid(self) -> tuple[frozenset[str], frozenset[str]]:
+        return frozenset(self.metrics), frozenset(self.elements)
+
     def cell(self, metric_id: str, element_id: str) -> tuple[MatrixEntry, ...]:
-        return self.cells[(metric_id, element_id)]
+        """Entries of one cell, () when uncovered; KeyError outside the grid."""
+        if metric_id not in self._grid[0] or element_id not in self._grid[1]:
+            raise KeyError((metric_id, element_id))
+        return self.cells.get((metric_id, element_id), ())
 
     @property
     def cell_count(self) -> int:
-        return len(self.cells)
+        return len(self.metrics) * len(self.elements)
 
 
-def _condition_satisfied(
-    condition: ImpactCondition,
-    values: Mapping[str, int],
-    flags: frozenset[str],
-    thresholds: tuple[int, int],
-) -> bool:
-    # Conjunctive terms; a predicate over a missing metric is unsatisfied,
-    # and a MEDIUM value matches neither LOW nor HIGH.
-    for term in condition.terms:
-        if isinstance(term, ContextFlag):
-            if term.flag not in flags:
-                return False
-        else:
-            value = values.get(term.metric)
-            if value is None or level_of(value, thresholds) is not term.level:
-                return False
-    return True
+class RuleOutcome:
+    """One rule's bucket in one scenario; only the 11 interned values below
+    exist, so outcomes compare by identity. Unfired outcomes have value 0."""
+
+    __slots__ = ("bucket", "value", "fired_level", "condition_status")
+
+    def __init__(self, bucket: str, value: int = 0, fired_level: Level | None = None,
+                 condition_status: ConditionStatus | None = None):
+        self.bucket, self.value = bucket, value
+        self.fired_level, self.condition_status = fired_level, condition_status
 
 
-_INDETERMINATE = ("indeterminate",)
-_DORMANT = ("dormant",)
-_GATED = ("gated",)
+_INDETERMINATE = RuleOutcome("indeterminate")
+_DORMANT = RuleOutcome("dormant")
+_GATED = RuleOutcome("gated")
+# Keyed by (level is HIGH, rule has a condition, polarity): bools and ints
+# hash in C, enum members through a Python-level __hash__.
+_FIRED = {
+    (level is Level.HIGH, status is ConditionStatus.SATISFIED, polarity): RuleOutcome(
+        "fired", polarity * level_sign(level), level, status)
+    for level in (Level.LOW, Level.HIGH)
+    for status in ConditionStatus
+    for polarity in (1, -1)
+}
+_HIGH = Level.HIGH
+_MEDIUM = Level.MEDIUM
 
 
-def _rule_status(kb: KnowledgeBase, rule: ImpactRule, ctx: EvaluationContext) -> tuple:
-    """Bucket one rule. Fired status carries its value and level."""
-    value = ctx.profile.values.get(rule.metric)
-    if value is None:
-        return _INDETERMINATE
-    level = level_of(value, ctx.thresholds)
-    if level is Level.MEDIUM:
-        return _DORMANT
-    if rule.condition is not None:
-        condition = kb.condition(rule.condition)
-        if not _condition_satisfied(condition, ctx.profile.values, ctx.flags,
-                                    ctx.thresholds):
-            return _GATED
-        status = ConditionStatus.SATISFIED
-    else:
-        status = ConditionStatus.NOT_APPLICABLE
-    contribution = normalize(rule).polarity * level_sign(level)
-    return ("fired", contribution, level, status)
+class _Scenario:
+    """One context compiled against one knowledge base."""
+
+    __slots__ = ("kb", "flags", "levels", "holds")
+
+    def __init__(self, kb: KnowledgeBase, ctx: EvaluationContext):
+        self.kb = kb
+        self.flags = ctx.flags
+        self.levels = {metric_id: level_of(value, ctx.thresholds)
+                       for metric_id, value in ctx.profile.values.items()}
+        self.holds: dict[str, bool] = {}
+
+    def _test(self, condition_id: str) -> bool:
+        # Conjunctive terms; a predicate over a missing metric is unsatisfied,
+        # and a MEDIUM value matches neither LOW nor HIGH.
+        holds = all(
+            term.flag in self.flags if isinstance(term, ContextFlag)
+            else self.levels.get(term.metric) is term.level
+            for term in self.kb.condition(condition_id).terms)
+        self.holds[condition_id] = holds
+        return holds
+
+    def outcomes(self, element_id: str) -> list[RuleOutcome]:
+        """The outcome of each rule in kb.rules_for(element_id), in order."""
+        levels, holds, rules = self.levels, self.holds, self.kb.rules_for(element_id)
+        # Rule polarities are normalized once per element and kept on the KB.
+        polarities = self.kb.polarity_memo.get(element_id)
+        if polarities is None:
+            polarities = self.kb.polarity_memo[element_id] = tuple(
+                normalize(rule).polarity for rule in rules)
+        out = []
+        for rule, polarity in zip(rules, polarities):
+            level = levels.get(rule.metric)
+            if level is None:
+                out.append(_INDETERMINATE)
+                continue
+            if level is _MEDIUM:
+                out.append(_DORMANT)
+                continue
+            conditioned = rule.condition is not None
+            if conditioned:
+                satisfied = holds.get(rule.condition)
+                if satisfied is None:
+                    satisfied = self._test(rule.condition)
+                if not satisfied:
+                    out.append(_GATED)
+                    continue
+            out.append(_FIRED[level is _HIGH, conditioned, polarity])
+        return out
 
 
-def evaluate_element(kb: KnowledgeBase, ctx: EvaluationContext,
-                     element_id: str) -> Assessment:
-    """Assess one element. Raises UnknownEntityError for unknown ids."""
-    kb.element(element_id)
+def _assess(scenario: _Scenario, element_id: str) -> Assessment:
     contributions: list[Contribution] = []
     indeterminate: list[str] = []
     gated: list[str] = []
-    for rule in kb.rules_for(element_id):
-        status = _rule_status(kb, rule, ctx)
-        if status is _INDETERMINATE:
+    score = 0
+    for rule, outcome in zip(scenario.kb.rules_for(element_id),
+                             scenario.outcomes(element_id)):
+        if outcome is _DORMANT:
+            continue
+        if outcome is _INDETERMINATE:
             indeterminate.append(rule.id)
-        elif status is _GATED:
+        elif outcome is _GATED:
             gated.append(rule.id)
-        elif status[0] == "fired":
+        else:
+            score += outcome.value
             contributions.append(Contribution(
-                rule_id=rule.id, value=status[1],
-                fired_level=status[2], condition_status=status[3]))
-    score = sum(c.value for c in contributions)
+                rule.id, outcome.value, outcome.fired_level, outcome.condition_status))
     return Assessment(
         element=element_id,
         contributions=tuple(contributions),
@@ -218,6 +271,13 @@ def evaluate_element(kb: KnowledgeBase, ctx: EvaluationContext,
         indeterminate_rules=tuple(indeterminate),
         gated_rules=tuple(gated),
     )
+
+
+def evaluate_element(kb: KnowledgeBase, ctx: EvaluationContext,
+                     element_id: str) -> Assessment:
+    """Assess one element. Raises UnknownEntityError for unknown ids."""
+    kb.element(element_id)
+    return _assess(_Scenario(kb, ctx), element_id)
 
 
 def _selected_elements(kb: KnowledgeBase,
@@ -232,7 +292,8 @@ def _selected_elements(kb: KnowledgeBase,
 def evaluate(kb: KnowledgeBase, ctx: EvaluationContext) -> tuple[Assessment, ...]:
     """Assess the context's element selection (default: every matrix-eligible
     element), in element-id order."""
-    return tuple(evaluate_element(kb, ctx, element_id)
+    scenario = _Scenario(kb, ctx)
+    return tuple(_assess(scenario, element_id)
                  for element_id in _selected_elements(kb, ctx.elements))
 
 
@@ -246,19 +307,17 @@ def diff(kb: KnowledgeBase, ctx_a: EvaluationContext,
     matrix-eligible elements.
     """
     selection = ctx_a.elements if ctx_a.elements is not None else ctx_b.elements
+    scenario_a, scenario_b = _Scenario(kb, ctx_a), _Scenario(kb, ctx_b)
     diffs = []
     for element_id in _selected_elements(kb, selection):
-        a = evaluate_element(kb, ctx_a, element_id)
-        b = evaluate_element(kb, ctx_b, element_id)
-        changed = [rule.id for rule in kb.rules_for(element_id)
-                   if _rule_status(kb, rule, ctx_a) != _rule_status(kb, rule, ctx_b)]
-        diffs.append(ElementDiff(
-            element=element_id,
-            score_a=a.score,
-            score_b=b.score,
-            delta=b.score - a.score,
-            rules_changed=tuple(changed),
-        ))
+        rules = kb.rules_for(element_id)
+        outcomes_a = scenario_a.outcomes(element_id)
+        outcomes_b = scenario_b.outcomes(element_id)
+        score_a = sum(outcome.value for outcome in outcomes_a)
+        score_b = sum(outcome.value for outcome in outcomes_b)
+        changed = tuple(rule.id for rule, a, b in zip(rules, outcomes_a, outcomes_b)
+                        if a is not b)
+        diffs.append(ElementDiff(element_id, score_a, score_b, score_b - score_a, changed))
     return tuple(diffs)
 
 
@@ -270,12 +329,10 @@ def export_matrix(kb: KnowledgeBase) -> MatrixExport:
     """
     metric_ids = tuple(m.id for m in kb.metrics)
     element_ids = tuple(e.id for e in kb.rule_eligible_elements)
-    cells: dict[tuple[str, str], list[MatrixEntry]] = {
-        (m, e): [] for m in metric_ids for e in element_ids}
-    for rule in sorted(kb.rules, key=lambda r: r.id):
-        key = (rule.metric, rule.element)
-        if key in cells:
-            cells[key].append(MatrixEntry(
+    cells: dict[tuple[str, str], list[MatrixEntry]] = {}
+    for element_id in element_ids:
+        for rule in kb.rules_for(element_id):
+            cells.setdefault((rule.metric, element_id), []).append(MatrixEntry(
                 rule_id=rule.id, stated_level=rule.stated_level,
                 sign=rule.sign, condition=rule.condition))
     return MatrixExport(

@@ -230,6 +230,12 @@ class KnowledgeBase:
                 for eid, group in grouped.items()}
 
     @cached_property
+    def polarity_memo(self) -> dict[str, tuple[int, ...]]:
+        """Element id -> polarity of each of its rules_for() rules, filled by
+        the engine the first time it evaluates the element."""
+        return {}
+
+    @cached_property
     def rule_eligible_elements(self) -> tuple[AgileElement, ...]:
         """Matrix-eligible elements (practices and roles), id-sorted."""
         return tuple(sorted(
@@ -535,7 +541,15 @@ def _read_json_file(path: Path, out: _Collector):
 def _read_rule_file(path: Path, out: _Collector):
     name = str(path)
     try:
-        doc = dsl.parse(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        before = exc.object[:exc.start]
+        column = exc.start - before.rfind(b"\n")
+        out.error("syntax-error", f"column {column}: not valid UTF-8 ({exc.reason})",
+                  path=name, line=before.count(b"\n") + 1)
+        return
+    try:
+        doc = dsl.parse(source)
     except dsl.RuleSyntaxError as exc:
         for err in exc.errors:
             message = f"column {err.column}: {err.message}"
@@ -571,17 +585,16 @@ def load(paths: Iterable[str | Path]) -> LoadResult:
             out.error("io-error", f"cannot read '{path}': not a readable file",
                       entity_id=str(path), path=str(path))
             continue
-        if path.suffix == ".moca":
-            _read_rule_file(path, out)
-        elif path.suffix == ".json":
-            try:
-                _read_json_file(path, out)
-            except OSError as exc:
-                out.error("io-error", f"cannot read '{path}': {exc}",
-                          entity_id=str(path), path=str(path))
-        else:
+        reader = {".json": _read_json_file, ".moca": _read_rule_file}.get(path.suffix)
+        if reader is None:
             out.error("unsupported-file",
                       f"'{path}' is neither a .json data file nor a .moca rule file",
+                      entity_id=str(path), path=str(path))
+            continue
+        try:
+            reader(path, out)
+        except OSError as exc:
+            out.error("io-error", f"cannot read '{path}': {exc}",
                       entity_id=str(path), path=str(path))
 
     findings = out.findings + _integrity_findings(
@@ -620,7 +633,7 @@ def load_profiles(path: str | Path) -> tuple[tuple[CulturalProfile, ...], Valida
                   entity_id=str(file_path), path=str(file_path))
     else:
         _read_json_file(file_path, out)
-    for entity in (out.metrics, out.elements, out.rules, out.conditions):
+    for entity in (out.metrics, out.elements):
         for stray in entity:
             out.error("invalid-entity",
                       f"expected only profiles in '{file_path}', found {stray.id}",

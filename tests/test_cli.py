@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,37 @@ class TestValidate:
         code, out, _ = run("validate", "--kb", str(seed_dir()))
         assert code == 0
         assert "matrix domain: 384 cells" in out
+
+
+class TestUnreadableRuleFile:
+    def test_invalid_utf8_is_a_syntax_error(self, run, tmp_path):
+        write_kb(tmp_path)
+        (tmp_path / "rules.moca").write_bytes(
+            b"RULE R1: HIGH PDI IMPACTS daily_meeting NEGATIVE\n# caf\xff\n")
+        code, out, _ = run("validate", "--kb", str(tmp_path))
+        assert code == 1
+        assert "error syntax-error: column 6: not valid UTF-8" in out
+        assert "rules.moca:2)" in out
+        code, _, err = run("evaluate", "--kb", str(tmp_path))
+        assert code == 1
+        assert "syntax-error" in err
+        assert "Traceback" not in err
+
+    def test_read_failure_is_an_io_error(self, run, tmp_path, monkeypatch):
+        write_kb(tmp_path)
+        read_text = Path.read_text
+
+        def failing_read_text(path, *args, **kwargs):
+            if path.suffix == ".moca":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", failing_read_text)
+        code, _, err = run("evaluate", "--kb", str(tmp_path))
+        assert code == 2
+        assert "error io-error: cannot read" in err
+        assert "Permission denied" in err
+        assert "Traceback" not in err
 
 
 class TestEvaluate:

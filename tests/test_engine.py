@@ -33,7 +33,7 @@ from moca.model import (
 )
 
 from oracle import assessment_as_dict, brute_assess
-from strategies import kb_with_context, knowledge_bases, pinned_scenario
+from strategies import contexts_for, kb_with_context, knowledge_bases, pinned_scenario
 
 FLAG = "manager_attends_meeting"
 
@@ -203,8 +203,17 @@ class TestExportMatrix:
         assert matrix.cell_count == 384
         assert len(matrix.metrics) == 8
         assert len(matrix.elements) == 48
-        covered = [key for key, entries in matrix.cells.items() if entries]
+        covered = [(m, e) for m in matrix.metrics for e in matrix.elements
+                   if matrix.cell(m, e)]
         assert len(covered) == 3
+        assert set(matrix.cells) == set(covered)
+
+    def test_cell_outside_grid_raises(self, seed_kb):
+        matrix = export_matrix(seed_kb)
+        with pytest.raises(KeyError):
+            matrix.cell("NOPE", "daily_meeting")
+        with pytest.raises(KeyError):
+            matrix.cell("PDI", "ghost_meeting")
 
     def test_rows_follow_declaration_columns_sorted(self, seed_kb):
         matrix = export_matrix(seed_kb)
@@ -215,7 +224,9 @@ class TestExportMatrix:
         stripped = dataclasses.replace(seed_kb, rules=())
         matrix = export_matrix(stripped)
         assert matrix.cell_count == 384
-        assert all(entries == () for entries in matrix.cells.values())
+        assert dict(matrix.cells) == {}
+        assert all(matrix.cell(m, e) == ()
+                   for m in matrix.metrics for e in matrix.elements)
 
     def test_every_rule_in_exactly_one_cell(self, seed_kb):
         matrix = export_matrix(seed_kb)
@@ -372,3 +383,38 @@ class TestProperties:
             actual = assessment_as_dict(
                 evaluate_element(kb, context, element.id))
             assert actual == expected
+
+    @given(kb_with_context(max_metrics=4, max_rules=8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_diff_agrees_with_brute_force_on_random_contexts(self, kb_ctx, data):
+        kb, ctx_a = kb_ctx
+        low = data.draw(st.integers(1, 49), label="t_low")
+        high = data.draw(st.integers(51, 99), label="t_high")
+        ctx_b = data.draw(contexts_for(kb, thresholds=(low, high)), label="ctx_b")
+        if data.draw(st.booleans(), label="inverse"):
+            # Mirrored values under the same flags make fired rules flip value.
+            ctx_b = dataclasses.replace(ctx_b, flags=ctx_a.flags, profile=CulturalProfile(
+                "inverse", {m: 100 - v for m, v in ctx_a.profile.values.items()}))
+
+        def oracle(context, element_id):
+            return brute_assess(kb, dict(context.profile.values), context.flags,
+                                context.thresholds, element_id)
+
+        def bucket(assessment, rule_id):
+            if rule_id in assessment["fired"]:
+                return ("fired", assessment["fired"][rule_id])
+            if rule_id in assessment["gated"]:
+                return "gated"
+            if rule_id in assessment["indeterminate"]:
+                return "indeterminate"
+            return "dormant"
+
+        diffs = diff(kb, ctx_a, ctx_b)
+        assert [d.element for d in diffs] == [e.id for e in kb.rule_eligible_elements]
+        for d in diffs:
+            a, b = oracle(ctx_a, d.element), oracle(ctx_b, d.element)
+            assert (d.score_a, d.score_b, d.delta) == (
+                a["score"], b["score"], b["score"] - a["score"])
+            rule_ids = sorted(r.id for r in kb.rules if r.element == d.element)
+            assert d.rules_changed == tuple(
+                r for r in rule_ids if bucket(a, r) != bucket(b, r))
