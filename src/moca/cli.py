@@ -69,12 +69,6 @@ class RunConfig:
     out_path: Path | None = None
 
 
-def _expand_kb_path(path: Path) -> list[Path]:
-    if path.is_dir():
-        return sorted(p for p in path.iterdir() if p.suffix in (".json", ".moca"))
-    return [path]
-
-
 def resolve_kb_paths(kb_args: Sequence[str] | None) -> tuple[Path, ...]:
     """KB files from --kb arguments, $MOCA_KB_PATH, or the bundled seed KB.
 
@@ -89,15 +83,30 @@ def resolve_kb_paths(kb_args: Sequence[str] | None) -> tuple[Path, ...]:
         roots = [Path(part) for part in parts] if parts else [kb_mod.seed_dir()]
     paths: list[Path] = []
     for root in roots:
-        paths.extend(_expand_kb_path(root))
+        paths.extend(kb_mod.expand_kb_path(root))
     return tuple(paths)
 
 
 def _emit(config: RunConfig, text: str):
-    if config.out_path is not None:
-        config.out_path.write_text(text, encoding="utf-8")
-    else:
+    """Write to stdout, or replace --out whole so no reader sees half a file."""
+    if config.out_path is None:
         sys.stdout.write(text)
+        return
+    target = Path(os.path.realpath(config.out_path))
+    inputs = config.kb_paths + ((config.profile_file,) if config.profile_file else ())
+    if any(target == Path(os.path.realpath(path)) for path in inputs):
+        raise CliError(f"--out '{config.out_path}' is an input of this command")
+    temp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(temp, target)
+        finally:
+            temp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write '{config.out_path}': {exc}") from None
 
 
 def _json_text(payload) -> str:
@@ -322,7 +331,7 @@ def _matrix_csv(matrix: engine.MatrixExport) -> str:
     for metric_id in matrix.metrics:
         row = [metric_id]
         for element_id in matrix.elements:
-            entries = matrix.cell(metric_id, element_id)
+            entries = matrix.cells.get((metric_id, element_id), ())
             row.append(";".join(_cell_token(entry) for entry in entries))
         writer.writerow(row)
     return buffer.getvalue()
@@ -340,7 +349,7 @@ def _matrix_json(matrix: engine.MatrixExport) -> dict:
                     "sign": entry.sign.value,
                     "condition": entry.condition,
                 }
-                for entry in matrix.cell(metric_id, element_id)
+                for entry in matrix.cells.get((metric_id, element_id), ())
             ]
     return {"metrics": list(matrix.metrics),
             "elements": list(matrix.elements),

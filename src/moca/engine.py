@@ -14,10 +14,9 @@ is always carried alongside it.
 
 Each call compiles its scenarios once: one ``level_of`` call per profile
 metric, and one test per condition, made on first use and shared by every
-rule under that condition (as in a Rete network's alpha memory). Rule
-polarities come from ``normalize`` the first time an element is evaluated
-and stay on the knowledge base. A rule's bucket is then a lookup on (level,
-condition truth, polarity) into 11 interned ``RuleOutcome`` values:
+rule under that condition (as in a Rete network's alpha memory). Each rule
+carries its polarity from construction. A rule's bucket is then a lookup on
+(level, condition truth, polarity) into 11 interned ``RuleOutcome`` values:
 indeterminate, dormant, gated, and fired x (+1/-1) x (LOW/HIGH) x
 (SATISFIED/NOT_APPLICABLE). ``evaluate`` and ``diff`` share that pass per
 element; ``diff`` compares the two scenarios' outcomes by identity and
@@ -42,7 +41,9 @@ from .model import (
     check_thresholds,
     level_of,
     level_sign,
-    normalize,
+    # Not called here. bench/run.py counts the calls made through
+    # moca.engine.level_of and moca.engine.normalize, so both stay importable.
+    normalize,  # noqa: F401
 )
 
 
@@ -219,14 +220,9 @@ class _Scenario:
 
     def outcomes(self, element_id: str) -> list[RuleOutcome]:
         """The outcome of each rule in kb.rules_for(element_id), in order."""
-        levels, holds, rules = self.levels, self.holds, self.kb.rules_for(element_id)
-        # Rule polarities are normalized once per element and kept on the KB.
-        polarities = self.kb.polarity_memo.get(element_id)
-        if polarities is None:
-            polarities = self.kb.polarity_memo[element_id] = tuple(
-                normalize(rule).polarity for rule in rules)
+        levels, holds = self.levels, self.holds
         out = []
-        for rule, polarity in zip(rules, polarities):
+        for rule in self.kb.rules_for(element_id):
             level = levels.get(rule.metric)
             if level is None:
                 out.append(_INDETERMINATE)
@@ -242,7 +238,7 @@ class _Scenario:
                 if not satisfied:
                     out.append(_GATED)
                     continue
-            out.append(_FIRED[level is _HIGH, conditioned, polarity])
+            out.append(_FIRED[level is _HIGH, conditioned, rule.polarity])
         return out
 
 

@@ -15,11 +15,12 @@ with any error-severity finding never produces a knowledge base.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import dsl
 from .model import (
@@ -93,8 +94,9 @@ class ExpectedCounts:
                 raise ValueError(f"manifest {name} must be a non-negative integer")
 
 
-class KnowledgeBaseError(MocaError):
-    """Raised by load_kb() when the file set does not produce a usable KB."""
+class KnowledgeBaseError(MocaError, ValueError):
+    """Raised when entities or a file set do not make a usable KB; the report
+    holds every finding."""
 
     def __init__(self, report: ValidationReport):
         self.report = report
@@ -104,13 +106,7 @@ class KnowledgeBaseError(MocaError):
         super().__init__(head + extra)
 
 
-def _integrity_findings(
-    metrics: Sequence[CulturalMetric],
-    elements: Sequence[AgileElement],
-    conditions: Sequence[ImpactCondition],
-    rules: Sequence[ImpactRule],
-    profiles: Sequence[CulturalProfile],
-) -> list[Finding]:
+def _integrity_findings(kb: KnowledgeBase) -> list[Finding]:
     """Uniqueness and referential-integrity findings for assembled entities."""
     findings: list[Finding] = []
 
@@ -118,11 +114,11 @@ def _integrity_findings(
         findings.append(Finding(Severity.ERROR, code, message, entity_id=entity_id))
 
     for label, ids in (
-        ("metric", [m.id for m in metrics]),
-        ("element", [e.id for e in elements]),
-        ("condition", [c.id for c in conditions]),
-        ("rule", [r.id for r in rules]),
-        ("profile", [p.name for p in profiles]),
+        ("metric", [m.id for m in kb.metrics]),
+        ("element", [e.id for e in kb.elements]),
+        ("condition", [c.id for c in kb.conditions]),
+        ("rule", [r.id for r in kb.rules]),
+        ("profile", [p.name for p in kb.profiles]),
     ):
         seen: set[str] = set()
         for entity_id in ids:
@@ -130,12 +126,11 @@ def _integrity_findings(
                 err("duplicate-id", f"duplicate {label} id '{entity_id}'", entity_id)
             seen.add(entity_id)
 
-    metric_ids = {m.id for m in metrics}
-    element_ids = {e.id for e in elements}
-    condition_ids = {c.id for c in conditions}
-    kinds = {e.id: e.kind for e in elements}
+    metric_ids = {m.id for m in kb.metrics}
+    condition_ids = {c.id for c in kb.conditions}
+    kinds = {e.id: e.kind for e in kb.elements}
 
-    for cond in conditions:
+    for cond in kb.conditions:
         for term in cond.terms:
             if isinstance(term, MetricPredicate) and term.metric not in metric_ids:
                 err("dangling-metric",
@@ -143,11 +138,11 @@ def _integrity_findings(
                     cond.id)
 
     relations: set[tuple[str, str, str | None]] = set()
-    for rule in rules:
+    for rule in kb.rules:
         if rule.metric not in metric_ids:
             err("dangling-metric",
                 f"rule {rule.id} references unknown metric '{rule.metric}'", rule.id)
-        if rule.element not in element_ids:
+        if rule.element not in kinds:
             err("dangling-element",
                 f"rule {rule.id} references unknown element '{rule.element}'", rule.id)
         elif kinds[rule.element] not in MATRIX_KINDS:
@@ -166,7 +161,7 @@ def _integrity_findings(
                 f"relation {relation!r}", rule.id)
         relations.add(relation)
 
-    for profile in profiles:
+    for profile in kb.profiles:
         for metric_id in profile.values:
             if metric_id not in metric_ids:
                 err("dangling-metric",
@@ -180,9 +175,9 @@ def _integrity_findings(
 class KnowledgeBase:
     """Immutable, fully resolved knowledge base.
 
-    Construction re-checks uniqueness and referential integrity and raises
-    ValueError on the first violation; the loader performs the same checks
-    beforehand to report every problem as a Finding instead.
+    Construction is the one place uniqueness and referential integrity are
+    checked. Any error raises KnowledgeBaseError (a ValueError) whose report
+    holds every finding; a valid KB keeps the warnings for load() to report.
     """
 
     metrics: tuple[CulturalMetric, ...] = ()
@@ -195,11 +190,10 @@ class KnowledgeBase:
     def __post_init__(self):
         for name in ("metrics", "elements", "conditions", "rules", "profiles"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        errors = [f for f in _integrity_findings(
-            self.metrics, self.elements, self.conditions, self.rules, self.profiles,
-        ) if f.severity is Severity.ERROR]
-        if errors:
-            raise ValueError("; ".join(f.message for f in errors))
+        report = ValidationReport(tuple(_integrity_findings(self)))
+        if report.has_errors:
+            raise KnowledgeBaseError(report)
+        object.__setattr__(self, "_warnings", report.findings)
 
     @cached_property
     def _metric_index(self) -> dict[str, CulturalMetric]:
@@ -228,12 +222,6 @@ class KnowledgeBase:
             grouped.setdefault(rule.element, []).append(rule)
         return {eid: tuple(sorted(group, key=lambda r: r.id))
                 for eid, group in grouped.items()}
-
-    @cached_property
-    def polarity_memo(self) -> dict[str, tuple[int, ...]]:
-        """Element id -> polarity of each of its rules_for() rules, filled by
-        the engine the first time it evaluates the element."""
-        return {}
 
     @cached_property
     def rule_eligible_elements(self) -> tuple[AgileElement, ...]:
@@ -510,6 +498,9 @@ def _read_json_file(path: Path, out: _Collector):
     try:
         payload = json.loads(path.read_text(encoding="utf-8"),
                              object_pairs_hook=_no_duplicate_keys)
+    except RecursionError:
+        out.error("invalid-json", "nesting is too deep to decode", path=name)
+        return
     except json.JSONDecodeError as exc:
         out.error("invalid-json", exc.msg, path=name, line=exc.lineno)
         return
@@ -561,6 +552,30 @@ def _read_rule_file(path: Path, out: _Collector):
     out.conditions.extend(doc.conditions)
 
 
+def _unsupported_file(path: Path, out: _Collector):
+    out.error("unsupported-file",
+              f"'{path}' is neither a .json data file nor a .moca rule file",
+              entity_id=str(path), path=str(path))
+
+
+#: Reader for each knowledge-base file suffix.
+_READERS = {".json": _read_json_file, ".moca": _read_rule_file}
+
+
+def _read_file(path: Path, reader: Callable[[Path, _Collector], None],
+               out: _Collector):
+    """Run reader on path; a missing or unreadable file is an io-error finding."""
+    try:
+        if path.is_file():
+            reader(path, out)
+            return
+        reason = "not a readable file"
+    except OSError as exc:
+        reason = str(exc)
+    out.error("io-error", f"cannot read '{path}': {reason}",
+              entity_id=str(path), path=str(path))
+
+
 def load(paths: Iterable[str | Path]) -> LoadResult:
     """Load a knowledge base from data and rule files.
 
@@ -569,51 +584,26 @@ def load(paths: Iterable[str | Path]) -> LoadResult:
     order given. Returns a LoadResult: either a usable KB (report holds at
     most warnings) or no KB and a report whose errors explain every failure.
     """
-    ordered: list[Path] = []
-    seen: set[str] = set()
+    canonical: dict[str, Path] = {}
     for raw in paths:
-        path = Path(raw)
-        key = str(path.resolve())
-        if key not in seen:
-            seen.add(key)
-            ordered.append(path)
-    ordered.sort(key=lambda p: str(p.resolve()))
+        canonical.setdefault(os.path.realpath(raw), Path(raw))
 
     out = _Collector()
-    for path in ordered:
-        if not path.is_file():
-            out.error("io-error", f"cannot read '{path}': not a readable file",
-                      entity_id=str(path), path=str(path))
-            continue
-        reader = {".json": _read_json_file, ".moca": _read_rule_file}.get(path.suffix)
-        if reader is None:
-            out.error("unsupported-file",
-                      f"'{path}' is neither a .json data file nor a .moca rule file",
-                      entity_id=str(path), path=str(path))
-            continue
-        try:
-            reader(path, out)
-        except OSError as exc:
-            out.error("io-error", f"cannot read '{path}': {exc}",
-                      entity_id=str(path), path=str(path))
+    for _, path in sorted(canonical.items()):
+        _read_file(path, _READERS.get(path.suffix, _unsupported_file), out)
 
-    findings = out.findings + _integrity_findings(
-        out.metrics, out.elements, out.conditions, out.rules, out.profiles)
+    try:
+        kb = KnowledgeBase(metrics=out.metrics, elements=out.elements,
+                           conditions=out.conditions, rules=out.rules,
+                           manifest=out.manifest, profiles=out.profiles)
+        integrity = kb._warnings
+    except KnowledgeBaseError as exc:
+        kb, integrity = None, exc.report.findings
+    findings = [*out.findings, *integrity]
     if out.manifest is not None:
         findings.extend(_count_findings(out.manifest, out.metrics, out.elements))
-
     report = ValidationReport(tuple(findings))
-    if report.has_errors:
-        return LoadResult(None, report)
-    kb = KnowledgeBase(
-        metrics=tuple(out.metrics),
-        elements=tuple(out.elements),
-        conditions=tuple(out.conditions),
-        rules=tuple(out.rules),
-        manifest=out.manifest,
-        profiles=tuple(out.profiles),
-    )
-    return LoadResult(kb, report)
+    return LoadResult(None if report.has_errors else kb, report)
 
 
 def load_kb(paths: Iterable[str | Path]) -> KnowledgeBase:
@@ -628,11 +618,7 @@ def load_profiles(path: str | Path) -> tuple[tuple[CulturalProfile, ...], Valida
     """Read one profiles file; reference checks happen against a KB later."""
     out = _Collector()
     file_path = Path(path)
-    if not file_path.is_file():
-        out.error("io-error", f"cannot read '{file_path}': not a readable file",
-                  entity_id=str(file_path), path=str(file_path))
-    else:
-        _read_json_file(file_path, out)
+    _read_file(file_path, _read_json_file, out)
     for entity in (out.metrics, out.elements):
         for stray in entity:
             out.error("invalid-entity",
@@ -646,7 +632,13 @@ def seed_dir() -> Path:
     return Path(__file__).resolve().parent / "seed"
 
 
+def expand_kb_path(path: Path) -> list[Path]:
+    """A directory's .json and .moca files in sorted order; a file as given."""
+    if path.is_dir():
+        return sorted(p for p in path.iterdir() if p.suffix in _READERS)
+    return [path]
+
+
 def seed_kb_paths() -> tuple[Path, ...]:
     """The bundled seed knowledge-base files, in canonical order."""
-    return tuple(sorted(p for p in seed_dir().iterdir()
-                        if p.suffix in (".json", ".moca")))
+    return tuple(expand_kb_path(seed_dir()))

@@ -234,7 +234,13 @@ class ImpactCondition:
 
 @dataclass(frozen=True)
 class ImpactRule:
-    """One causal relation from a metric level to an agile element."""
+    """One causal relation from a metric level to an agile element.
+
+    ``polarity`` is set once at construction and is not a field: +1 exactly
+    when the stated level and the sign agree (HIGH+POSITIVE or
+    LOW+NEGATIVE), else -1. The relationship inverts at the opposite level,
+    so the two authorable forms of one relation share one polarity.
+    """
 
     id: str
     title: str
@@ -254,6 +260,8 @@ class ImpactRule:
             raise ValueError(f"condition reference must be an identifier, got {self.condition!r}")
         if self.stated_level is Level.MEDIUM:
             raise ValueError(f"rule {self.id}: stated level must be LOW or HIGH")
+        aligned = (self.stated_level is Level.HIGH) == (self.sign is ImpactSign.POSITIVE)
+        object.__setattr__(self, "polarity", 1 if aligned else -1)
 
 
 @dataclass(frozen=True)
@@ -300,18 +308,11 @@ def level_sign(level: Level) -> int:
 
 
 def normalize(rule: ImpactRule) -> NormalizedRule:
-    """Reduce a rule to its polarity.
-
-    polarity is +1 exactly when the stated level and the sign agree
-    (HIGH+POSITIVE or LOW+NEGATIVE); the relationship inverts at the
-    opposite level, so the two authorable forms of one relation
-    normalize identically.
-    """
-    aligned = (rule.stated_level is Level.HIGH) == (rule.sign is ImpactSign.POSITIVE)
+    """Reduce a rule to its polarity (see ImpactRule)."""
     return NormalizedRule(
         rule_id=rule.id,
         metric=rule.metric,
-        polarity=1 if aligned else -1,
+        polarity=rule.polarity,
         condition=rule.condition,
         element=rule.element,
     )

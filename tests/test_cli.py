@@ -152,6 +152,36 @@ class TestEvaluate:
         assert code == 0
         assert "planning_meeting: positive (H4)" in out
 
+    def test_unreadable_profile_file_exits_2(self, run, tmp_path, monkeypatch):
+        profile_file = tmp_path / "extra.json"
+        profile_file.write_text("[]")
+        read_text = Path.read_text
+
+        def failing_read_text(path, *args, **kwargs):
+            if path == profile_file:
+                raise OSError(5, "Input/output error", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", failing_read_text)
+        code, _, err = run(*EVAL_ARGS, "--profile-file", str(profile_file))
+        assert code == 2
+        assert "error: cannot read" in err
+        assert "Input/output error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["kb", "profile-file"])
+    def test_deeply_nested_json_is_invalid_json(self, run, tmp_path, where):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        if where == "kb":
+            code, out, _ = run("validate", "--kb", str(deep))
+            assert code == 1
+            assert "error invalid-json: nesting is too deep to decode" in out
+        else:
+            code, _, err = run(*EVAL_ARGS, "--profile-file", str(deep))
+            assert code == 2
+            assert err == "error: nesting is too deep to decode\n"
+
     def test_profile_file_with_unknown_metric_exits_2(self, run, tmp_path):
         profile_file = tmp_path / "extra.json"
         profile_file.write_text(json.dumps(
@@ -208,6 +238,7 @@ class TestEvaluate:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestExplain:
@@ -341,6 +372,34 @@ class TestKbResolution:
         run("explain", "H6", "--kb", str(kb_dir))
         after = {p.name: p.read_bytes() for p in sorted(kb_dir.iterdir())}
         assert after == before
+
+    def test_out_never_overwrites_an_input(self, run, tmp_path):
+        kb_dir = tmp_path / "kb"
+        shutil.copytree(seed_dir(), kb_dir)
+        profile_file = tmp_path / "extra.json"
+        profile_file.write_text(json.dumps([{"name": "custom", "values": {"UAI": 90}}]))
+        inputs = sorted(kb_dir.iterdir()) + [profile_file]
+        before = [p.read_bytes() for p in inputs]
+        for argv in (
+            ("matrix", "--out", str(kb_dir / "rules.moca")),
+            ("validate", "--out", str(kb_dir / "." / "metrics.json")),
+            ("evaluate", "--profile", "custom", "--profile-file", str(profile_file),
+             "--out", str(profile_file)),
+        ):
+            code, out, err = run(*argv, "--kb", str(kb_dir))
+            assert code == 2
+            assert out == ""
+            assert "is an input of this command" in err
+            assert "Traceback" not in err
+        assert [p.read_bytes() for p in inputs] == before
+
+    def test_out_into_missing_directory_exits_2(self, run, tmp_path):
+        target = tmp_path / "missing" / "matrix.csv"
+        code, out, err = run("matrix", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write '{target}'")
+        assert not target.parent.exists()
 
     def test_help_exits_0(self, run):
         code, out, _ = run("--help")

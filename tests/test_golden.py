@@ -12,12 +12,12 @@ To regenerate after an intended output change, run
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 from moca.cli import main
+from moca.kb import seed_dir
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BROKEN_KB = GOLDEN / "broken_kb"
@@ -29,11 +29,12 @@ _SEED = {
     "explain": ("explain", "H6"),
     "diff": ("diff", *_SCENARIO, "--flag-b", "manager_attends_meeting"),
 }
-CASES = {f"seed_{name}": argv for name, argv in _SEED.items()}
-CASES.update({f"seed_{name}_json": (*argv, "--format", "json")
-              for name, argv in _SEED.items()})
-CASES["seed_matrix_csv"] = ("matrix",)
-CASES["seed_matrix_json"] = ("matrix", "--format", "json")
+CASES = {f"seed_{name}": (*argv, "--kb", str(seed_dir()))
+         for name, argv in _SEED.items()}
+CASES.update({f"{name}_json": (*argv, "--format", "json")
+              for name, argv in list(CASES.items())})
+CASES["seed_matrix_csv"] = ("matrix", "--kb", str(seed_dir()))
+CASES["seed_matrix_json"] = ("matrix", "--kb", str(seed_dir()), "--format", "json")
 for _command in ("validate", "evaluate"):
     CASES[f"broken_{_command}"] = (_command, "--kb", str(BROKEN_KB))
     CASES[f"broken_{_command}_json"] = (_command, "--kb", str(BROKEN_KB),
@@ -43,13 +44,8 @@ for _command in ("validate", "evaluate"):
 def run_case(argv) -> tuple[int, str, str]:
     """Run the CLI in-process; the KB directory path is normalized."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.pop("MOCA_KB_PATH", None)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        if saved is not None:
-            os.environ["MOCA_KB_PATH"] = saved
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
     return (code,) + tuple(stream.getvalue().replace(str(BROKEN_KB), "<KB>")
                            for stream in (out, err))
 

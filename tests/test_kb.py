@@ -130,6 +130,11 @@ class TestLoadFailures:
         assert result.kb is None
         assert codes(result.report) == ["io-error"]
 
+    def test_symlink_loop_is_an_io_error(self, tmp_path):
+        loop = tmp_path / "loop.json"
+        loop.symlink_to(loop)
+        assert codes(load([loop]).report) == ["io-error"]
+
     def test_unsupported_suffix(self, tmp_path):
         stray = tmp_path / "rules.yaml"
         stray.write_text("nope")
@@ -302,14 +307,17 @@ class TestDirectConstruction:
                                 "a", "b", MetricSource.HOFSTEDE)
         rule = ImpactRule(id="R1", title="", metric="PDI", stated_level=Level.HIGH,
                           sign=ImpactSign.POSITIVE, element="ghost")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             KnowledgeBase(metrics=(metric,), rules=(rule,))
+        assert isinstance(raised.value, KnowledgeBaseError)
+        assert codes(raised.value.report) == ["dangling-element"]
 
     def test_duplicate_id_raises(self):
         metric = CulturalMetric("PDI", "Power Distance", CultureLevel.NATIONAL,
                                 "a", "b", MetricSource.HOFSTEDE)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             KnowledgeBase(metrics=(metric, metric))
+        assert codes(raised.value.report) == ["duplicate-id"]
 
 
 class TestProfilesFile:

@@ -97,6 +97,12 @@ class TestNormalize:
         assert normalized.element == "daily_meeting"
         assert normalized.condition == "IC1"
 
+    @pytest.mark.parametrize("stated", [Level.LOW, Level.HIGH])
+    @pytest.mark.parametrize("sign", list(ImpactSign))
+    def test_polarity_is_set_on_the_rule(self, stated, sign):
+        rule = _rule(stated, sign)
+        assert rule.polarity == normalize(rule).polarity
+
     @given(stated=stated_level_st, sign=sign_st)
     def test_inverted_form_normalizes_identically(self, stated, sign):
         # authoring HIGH/X or the flipped LOW/opposite-X is the same relation
