@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -88,7 +90,7 @@ def resolve_kb_paths(kb_args: Sequence[str] | None) -> tuple[Path, ...]:
 
 
 def _emit(config: RunConfig, text: str):
-    """Write to stdout, or replace --out whole so no reader sees half a file."""
+    """Write to stdout or --out; a regular --out file is replaced whole, mode kept."""
     if config.out_path is None:
         sys.stdout.write(text)
         return
@@ -96,15 +98,22 @@ def _emit(config: RunConfig, text: str):
     inputs = config.kb_paths + ((config.profile_file,) if config.profile_file else ())
     if any(target == Path(os.path.realpath(path)) for path in inputs):
         raise CliError(f"--out '{config.out_path}' is an input of this command")
-    temp = target.parent / f".{target.name}.{os.getpid()}.tmp"
     try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        if config.out_path.exists() and not config.out_path.is_file():
+            # A device, FIFO or terminal is written in place, never replaced.
+            config.out_path.write_text(text, encoding="utf-8")
+            return
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else 0o666 & ~umask
+        fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
         try:
             with open(fd, "w", encoding="utf-8") as handle:
+                os.chmod(fd, mode)
                 handle.write(text)
             os.replace(temp, target)
         finally:
-            temp.unlink(missing_ok=True)
+            Path(temp).unlink(missing_ok=True)
     except OSError as exc:
         raise CliError(f"cannot write '{config.out_path}': {exc}") from None
 
@@ -167,13 +176,12 @@ def _resolve_profile(kb: KnowledgeBase, config: RunConfig,
                     f"{', '.join(unknown)}")
             profiles[profile.name] = profile
     wanted = name or config.profile_name
+    available = ", ".join(sorted(profiles)) or "none"
     if wanted is None:
         if len(profiles) == 1:
             return next(iter(profiles.values()))
-        available = ", ".join(sorted(profiles)) or "none"
         raise CliError(f"--profile is required (available: {available})")
     if wanted not in profiles:
-        available = ", ".join(sorted(profiles)) or "none"
         raise CliError(f"unknown profile '{wanted}' (available: {available})")
     return profiles[wanted]
 
@@ -297,11 +305,9 @@ def _assessments_text(kb: KnowledgeBase, assessments: Sequence[engine.Assessment
                 detail += f" because {rule.rationale}"
             lines.append(detail)
         for rule_id in a.gated_rules:
-            rule = kb.rule(rule_id)
-            lines.append(f"  gated: {rule_id} ({rule.condition} not satisfied)")
+            lines.append(f"  gated: {rule_id} ({kb.rule(rule_id).condition} not satisfied)")
         for rule_id in a.indeterminate_rules:
-            rule = kb.rule(rule_id)
-            lines.append(f"  indeterminate: {rule_id} (no value for {rule.metric})")
+            lines.append(f"  indeterminate: {rule_id} (no value for {kb.rule(rule_id).metric})")
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -239,6 +241,35 @@ class TestEvaluate:
         assert out == ""
         assert json.loads(target.read_text())
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_out_keeps_the_mode_of_a_replaced_file(self, run, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        for target in (fresh, existing):
+            assert run("matrix", "--out", str(target))[0] == 0
+            assert target.read_text().startswith("metric,")
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+        assert sorted(tmp_path.iterdir()) == [existing, fresh]
+
+    def test_out_writes_into_a_fifo_in_place(self, run, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # A non-blocking reader lets the writer open the FIFO without a thread;
+        # the explain output fits in the pipe buffer.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run("explain", "H6", "--out", str(fifo))
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert (code, out, err) == (0, "", "")
+        assert received == run("explain", "H6")[1]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
 
 
 class TestExplain:
