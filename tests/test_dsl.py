@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -25,6 +28,23 @@ H6_LINE = ('RULE H6 "open communication (of problems)": '
            'IF IC1 THEN HIGH PDI IMPACTS daily_meeting NEGATIVE')
 H4_LINE = ('RULE H4 "in-depth discussions of questions": '
            'HIGH UAI IMPACTS planning_meeting POSITIVE')
+
+
+#: Malformed lines, each with a fragment of the message it must produce; their
+#: exact errors are pinned in golden/parse_errors.json (see test_golden.py).
+MALFORMED_LINES = [
+    ("FOO H1: HIGH A IMPACTS b POSITIVE", "RULE, CONDITION, or comment"),
+    ("RULE H1: HIGH A IMPACTS b MAYBE", "POSITIVE or NEGATIVE"),
+    ("RULE H1: HIGH A IMPACTS b", "POSITIVE or NEGATIVE"),
+    ("RULE H1: IF C1 HIGH A IMPACTS b POSITIVE", "THEN"),
+    ('RULE H1 "unterminated: HIGH A IMPACTS b POSITIVE', "unterminated string"),
+    ("RULE H1: HIGH A IMPACTS b POSITIVE NEGATIVE", "end of line"),
+    ("RULE IF: HIGH A IMPACTS b POSITIVE", "rule identifier"),
+    ('CONDITION C1 "d": ', "FLAG or HIGH or LOW"),
+    ("RULE H1 HIGH A IMPACTS b POSITIVE", "':'"),
+    ("RULE H1: HIGH A IMPACTS b POSITIVE # trailing", "unexpected character"),
+]
+GOLDEN_PARSE_ERRORS = Path(__file__).resolve().parent / "golden" / "parse_errors.json"
 
 
 class TestParse:
@@ -100,22 +120,14 @@ class TestParse:
         assert len(errors) == 2
         assert [e.line for e in errors] == [1, 3]
 
-    @pytest.mark.parametrize("source,fragment", [
-        ("FOO H1: HIGH A IMPACTS b POSITIVE", "RULE, CONDITION, or comment"),
-        ("RULE H1: HIGH A IMPACTS b MAYBE", "POSITIVE or NEGATIVE"),
-        ("RULE H1: HIGH A IMPACTS b", "POSITIVE or NEGATIVE"),
-        ("RULE H1: IF C1 HIGH A IMPACTS b POSITIVE", "THEN"),
-        ('RULE H1 "unterminated: HIGH A IMPACTS b POSITIVE', "unterminated string"),
-        ("RULE H1: HIGH A IMPACTS b POSITIVE NEGATIVE", "end of line"),
-        ("RULE IF: HIGH A IMPACTS b POSITIVE", "rule identifier"),
-        ('CONDITION C1 "d": ', "FLAG or HIGH or LOW"),
-        ("RULE H1 HIGH A IMPACTS b POSITIVE", "':'"),
-        ("RULE H1: HIGH A IMPACTS b POSITIVE # trailing", "unexpected character"),
-    ])
+    @pytest.mark.parametrize("source,fragment", MALFORMED_LINES)
     def test_malformed_lines(self, source, fragment):
         errors = parse_errors(source)
-        assert errors, source
         assert any(fragment in e.message for e in errors)
+        golden = json.loads(GOLDEN_PARSE_ERRORS.read_text(encoding="utf-8"))
+        assert errors == tuple(ParseError(line, column, message, tuple(expected))
+                               for line, column, message, expected
+                               in golden["lines"][source])
 
     def test_error_positions_are_one_based(self):
         (err,) = parse_errors("RULE ?")

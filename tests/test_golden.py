@@ -5,6 +5,10 @@ under ``golden/broken_kb`` (a syntax error, dangling references, a
 rule-target-kind warning and a manifest mismatch) runs ``validate`` and
 ``evaluate``. Paths inside the broken KB are written as ``<KB>``.
 
+``golden/parse_errors.json`` holds the exact line, column, message and
+expected tokens of every syntax error for the criterion-6 mutations of the
+seed rule file and for the malformed lines of ``test_dsl.py``.
+
 To regenerate after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -17,7 +21,11 @@ from pathlib import Path
 import pytest
 
 from moca.cli import main
-from moca.kb import seed_dir
+from moca.dsl import parse_errors
+from moca.kb import seed_dir, seed_kb_paths
+
+from test_acceptance import _MUTATIONS
+from test_dsl import MALFORMED_LINES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BROKEN_KB = GOLDEN / "broken_kb"
@@ -59,6 +67,22 @@ def test_golden_output(case):
     assert err.encode("utf-8") == (GOLDEN / f"{case}.err").read_bytes()
 
 
+def parse_error_rows() -> dict:
+    """Every pinned syntax error as [line, column, message, expected]."""
+    def rows(source):
+        return [[e.line, e.column, e.message, list(e.expected)]
+                for e in parse_errors(source)]
+
+    seed = next(p for p in seed_kb_paths() if p.suffix == ".moca").read_text()
+    return {"mutations": {label: rows(mutate(seed)) for label, mutate in _MUTATIONS},
+            "lines": {source: rows(source) for source, _ in MALFORMED_LINES}}
+
+
+def test_parse_errors_golden():
+    golden = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))
+    assert parse_error_rows() == golden
+
+
 def regenerate():
     codes = {}
     for case, argv in sorted(CASES.items()):
@@ -67,6 +91,9 @@ def regenerate():
         (GOLDEN / f"{case}.err").write_bytes(err.encode("utf-8"))
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (GOLDEN / "parse_errors.json").write_text(
+        json.dumps(parse_error_rows(), indent=2, ensure_ascii=False) + "\n",
+        encoding="utf-8")
 
 
 if __name__ == "__main__":
