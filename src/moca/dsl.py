@@ -18,6 +18,14 @@ as identifiers). Files are UTF-8; LF and CRLF are both accepted and LF is
 emitted. The parser does no reference resolution: rules may name metrics,
 elements, or conditions declared elsewhere, and the knowledge-base loader
 reports anything that dangles.
+
+One compiled master regex (``_TOKEN_RE``, walked with ``finditer``) splits
+each line into ``(kind, text, column)`` tuples: ``keyword``, ``ident``,
+``string`` or ``colon``, closed by ``end``. A lone ``"`` is an unterminated
+string and any other stray character an unexpected one. One recursive-descent
+parser, ``_LineParser``, reads the tokens with two verbs: ``accept`` for an
+optional token and ``expect`` for a required one, whose absence fails the
+line with a positioned ``ParseError``.
 """
 
 from __future__ import annotations
@@ -41,8 +49,6 @@ KEYWORDS = frozenset({
     "RULE", "CONDITION", "IF", "THEN", "HIGH", "LOW",
     "IMPACTS", "POSITIVE", "NEGATIVE", "BECAUSE", "AND", "FLAG",
 })
-
-_IDENT_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -102,20 +108,14 @@ class RuleDocument:
         return tuple(e for e in self.entries if isinstance(e, ImpactCondition))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "keyword" | "ident" | "string" | "colon"
-    text: str
-    column: int
+#: The whole lexical grammar, tried at each position after spaces and tabs:
+#: a word (a keyword or an identifier), a quoted string, a colon, or, as the
+#: last resort, one character no token can start with.
+_TOKEN_RE = re.compile(r'[ \t]*(?:([A-Za-z][A-Za-z0-9_]*)|"([^"]*)"|(:)|([^ \t]))')
 
-    def describe(self) -> str:
-        if self.kind == "keyword":
-            return f"keyword '{self.text}'"
-        if self.kind == "string":
-            return "string"
-        if self.kind == "colon":
-            return "':'"
-        return f"identifier '{self.text}'"
+#: How each token kind is named in messages and in ``ParseError.expected``.
+_KIND_NAMES = {"keyword": "keyword", "ident": "identifier", "string": "string",
+               "colon": "':'", "end": "end of line"}
 
 
 class _LineError(Exception):
@@ -123,120 +123,80 @@ class _LineError(Exception):
         self.error = error
 
 
-def _tokenize(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == ":":
-            tokens.append(_Token("colon", ":", i + 1))
-            i += 1
-            continue
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise _LineError(ParseError(line_no, i + 1, "unterminated string", ('"',)))
-            tokens.append(_Token("string", text[i + 1:end], i + 1))
-            i = end + 1
-            continue
-        match = _IDENT_TOKEN_RE.match(text, i)
-        if match:
-            word = match.group(0)
+def _tokenize(text: str, line_no: int) -> list[tuple[str, str, int]]:
+    """The (kind, text, 1-based column) tokens of one line, closed by an
+    "end" token just past its last character."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        word, string, colon, other = match.groups()
+        if word is not None:
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, i + 1))
-            i = match.end()
-            continue
-        raise _LineError(ParseError(line_no, i + 1, f"unexpected character {ch!r}"))
+            tokens.append((kind, word, match.start(1) + 1))
+        elif string is not None:
+            # Group 2 starts just after the opening quote, at its 1-based column.
+            tokens.append(("string", string, match.start(2)))
+        elif colon is not None:
+            tokens.append(("colon", colon, match.start(3) + 1))
+        elif other == '"':
+            raise _LineError(ParseError(line_no, match.start(4) + 1,
+                                        "unterminated string", ('"',)))
+        else:
+            raise _LineError(ParseError(line_no, match.start(4) + 1,
+                                        f"unexpected character {other!r}"))
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
 class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], line_no: int):
         self.tokens = tokens
         self.line = line_no
-        self.line_len = line_len
         self.pos = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def accept(self, kind: str, *texts: str) -> str | None:
+        """Consume the next token and return its text if it is of this kind
+        (and, when texts are given, one of them); otherwise return None."""
+        tok_kind, text, _ = self.tokens[self.pos]
+        if tok_kind == kind and (not texts or text in texts):
+            self.pos += 1
+            return text
+        return None
+
+    def expect(self, kind: str, *texts: str, what: str = "") -> str:
+        """accept() that fails the line when the token is not there."""
+        text = self.accept(kind, *texts)
+        if text is None:
+            expected = texts or (_KIND_NAMES[kind],)
+            self._fail(what or " or ".join(expected), expected)
+        return text
 
     def _fail(self, what: str, expected: tuple[str, ...]):
-        tok = self.peek()
-        if tok is None:
-            raise _LineError(ParseError(
-                self.line, self.line_len + 1, f"expected {what} before end of line", expected))
-        raise _LineError(ParseError(
-            self.line, tok.column, f"expected {what}, found {tok.describe()}", expected))
-
-    def ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
-            self._fail(what, ("identifier",))
-        self.pos += 1
-        return tok.text
-
-    def string(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None or tok.kind != "string":
-            self._fail(what, ("string",))
-        self.pos += 1
-        return tok.text
-
-    def opt_string(self) -> str:
-        tok = self.peek()
-        if tok is not None and tok.kind == "string":
-            self.pos += 1
-            return tok.text
-        return ""
-
-    def colon(self):
-        tok = self.peek()
-        if tok is None or tok.kind != "colon":
-            self._fail("':'", ("':'",))
-        self.pos += 1
-
-    def keyword(self, *names: str) -> str:
-        tok = self.peek()
-        if tok is None or tok.kind != "keyword" or tok.text not in names:
-            self._fail(" or ".join(names), names)
-        self.pos += 1
-        return tok.text
-
-    def at_keyword(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "keyword" and tok.text in names
-
-    def end(self):
-        tok = self.peek()
-        if tok is not None:
-            raise _LineError(ParseError(
-                self.line, tok.column,
-                f"expected end of line, found {tok.describe()}", ("end of line",)))
+        kind, text, column = self.tokens[self.pos]
+        if kind == "end":
+            message = f"expected {what} before end of line"
+        elif kind in ("keyword", "ident"):
+            message = f"expected {what}, found {_KIND_NAMES[kind]} '{text}'"
+        else:
+            message = f"expected {what}, found {_KIND_NAMES[kind]}"
+        raise _LineError(ParseError(self.line, column, message, expected))
 
 
 def _parse_rule_line(p: _LineParser) -> ImpactRule:
-    rule_id = p.ident("rule identifier")
-    title = p.opt_string()
-    p.colon()
+    rule_id = p.expect("ident", what="rule identifier")
+    title = p.accept("string") or ""
+    p.expect("colon")
     condition = None
-    if p.at_keyword("IF"):
-        p.keyword("IF")
-        condition = p.ident("condition identifier")
-        p.keyword("THEN")
-    stated = p.keyword("HIGH", "LOW")
-    metric = p.ident("metric identifier")
-    p.keyword("IMPACTS")
-    element = p.ident("element identifier")
-    sign = p.keyword("POSITIVE", "NEGATIVE")
+    if p.accept("keyword", "IF"):
+        condition = p.expect("ident", what="condition identifier")
+        p.expect("keyword", "THEN")
+    stated = p.expect("keyword", "HIGH", "LOW")
+    metric = p.expect("ident", what="metric identifier")
+    p.expect("keyword", "IMPACTS")
+    element = p.expect("ident", what="element identifier")
+    sign = p.expect("keyword", "POSITIVE", "NEGATIVE")
     rationale = ""
-    if p.at_keyword("BECAUSE"):
-        p.keyword("BECAUSE")
-        rationale = p.string("rationale string")
-    p.end()
+    if p.accept("keyword", "BECAUSE"):
+        rationale = p.expect("string", what="rationale string")
     return ImpactRule(
         id=rule_id,
         title=title,
@@ -250,21 +210,19 @@ def _parse_rule_line(p: _LineParser) -> ImpactRule:
 
 
 def _parse_condition_line(p: _LineParser) -> ImpactCondition:
-    cond_id = p.ident("condition identifier")
-    description = p.string("description string")
-    p.colon()
+    cond_id = p.expect("ident", what="condition identifier")
+    description = p.expect("string", what="description string")
+    p.expect("colon")
     terms: list[ConditionTerm] = []
     while True:
-        kw = p.keyword("FLAG", "HIGH", "LOW")
+        kw = p.expect("keyword", "FLAG", "HIGH", "LOW")
         if kw == "FLAG":
-            terms.append(ContextFlag(p.ident("flag identifier")))
+            terms.append(ContextFlag(p.expect("ident", what="flag identifier")))
         else:
-            metric = p.ident("metric identifier")
+            metric = p.expect("ident", what="metric identifier")
             terms.append(MetricPredicate(metric, Level.HIGH if kw == "HIGH" else Level.LOW))
-        if not p.at_keyword("AND"):
+        if not p.accept("keyword", "AND"):
             break
-        p.keyword("AND")
-    p.end()
     return ImpactCondition(id=cond_id, description=description, terms=tuple(terms))
 
 
@@ -282,16 +240,14 @@ def _scan(source: str) -> tuple[list[DocumentEntry], list[int], list[ParseError]
             lines.append(line_no)
             continue
         try:
-            tokens = _tokenize(raw, line_no)
-            p = _LineParser(tokens, line_no, len(raw))
-            if p.at_keyword("RULE"):
-                p.keyword("RULE")
+            p = _LineParser(_tokenize(raw, line_no), line_no)
+            if p.accept("keyword", "RULE"):
                 entry = _parse_rule_line(p)
-            elif p.at_keyword("CONDITION"):
-                p.keyword("CONDITION")
+            elif p.accept("keyword", "CONDITION"):
                 entry = _parse_condition_line(p)
             else:
                 p._fail("RULE, CONDITION, or comment", ("RULE", "CONDITION", "#"))
+            p.expect("end")
         except _LineError as exc:
             errors.append(exc.error)
             continue

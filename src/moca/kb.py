@@ -496,13 +496,18 @@ def _classify_item(item: dict) -> str | None:
 def _read_json_file(path: Path, out: _Collector):
     name = str(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"),
-                             object_pairs_hook=_no_duplicate_keys)
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text, object_pairs_hook=_no_duplicate_keys)
+        if "\\u" in text:  # only an escape can decode to a lone surrogate
+            json.dumps(payload, ensure_ascii=False).encode("utf-8")
     except RecursionError:
         out.error("invalid-json", "nesting is too deep to decode", path=name)
         return
     except json.JSONDecodeError as exc:
         out.error("invalid-json", exc.msg, path=name, line=exc.lineno)
+        return
+    except UnicodeEncodeError:
+        out.error("invalid-json", "a string decodes to a lone surrogate", path=name)
         return
     except ValueError as exc:
         out.error("invalid-json", str(exc), path=name)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import stat
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from moca.cli import main
 from moca.kb import seed_dir
@@ -183,6 +185,28 @@ class TestEvaluate:
             code, _, err = run(*EVAL_ARGS, "--profile-file", str(deep))
             assert code == 2
             assert err == "error: nesting is too deep to decode\n"
+
+    @pytest.mark.parametrize("where", ["kb", "profile-file"])
+    def test_lone_surrogate_is_invalid_json(self, run, tmp_path, where):
+        kb_dir = tmp_path / "kb"
+        shutil.copytree(seed_dir(), kb_dir)
+        profiles = kb_dir / "profiles.json"
+        profiles.write_text('[{"name": "b\\ud800d", "values": {"ZZZ": 50}}]')
+        message = "invalid-json: a string decodes to a lone surrogate"
+        if where == "kb":
+            report = tmp_path / "report.txt"
+            code, out, err = run("validate", "--kb", str(kb_dir), "--out", str(report))
+            assert (code, out, err) == (1, "", "")
+            assert f"error {message} ({profiles})" in report.read_text()
+            code, out, err = run(*EVAL_ARGS, "--kb", str(kb_dir))
+            assert code == 1
+            assert f"error {message} ({profiles})" in err
+        else:
+            code, out, err = run(*EVAL_ARGS, "--profile-file", str(profiles))
+            assert code == 2
+            assert err == "error: a string decodes to a lone surrogate\n"
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_profile_file_with_unknown_metric_exits_2(self, run, tmp_path):
         profile_file = tmp_path / "extra.json"
@@ -436,3 +460,44 @@ class TestKbResolution:
         code, out, _ = run("--help")
         assert code == 0
         assert "validate" in out
+
+
+_KB_FILES = ("metrics.json", "elements.json", "profiles.json", "manifest.json", "rules.moca")
+_COMMANDS = (
+    ("validate",),
+    (*EVAL_ARGS, "--flag", "manager_attends_meeting"),
+    ("explain", "H6"),
+    ("diff", "--profile", "strong_hierarchy", "--flag-b", "manager_attends_meeting"),
+    ("matrix",),
+)
+#: Inserted besides random bytes: JSON and rule-language pieces that random
+#: bytes rarely form, such as a lone surrogate escape.
+_FRAGMENTS = (b'"', b"\\", b"\\ud800", b'"\\udc00"', b"{", b"[", b",", b":",
+              b"null", b"NaN", b"1e999", b"-1", b"RULE", b"\r", b"\xff")
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(_KB_FILES), command=st.sampled_from(_COMMANDS),
+       json_format=st.booleans(), position=st.integers(0, 4000),
+       cut=st.integers(0, 8),
+       junk=st.binary(max_size=8) | st.sampled_from(_FRAGMENTS))
+def test_corrupt_kb_file_never_crashes_the_cli(tmp_path, name, command, json_format,
+                                               position, cut, junk):
+    """Random bytes in any KB file end in exit 0, 1 or 2, never an exception."""
+    kb_dir = tmp_path / "kb"
+    shutil.copytree(seed_dir(), kb_dir, dirs_exist_ok=True)
+    target = kb_dir / name
+    data = target.read_bytes()
+    at = position % (len(data) + 1)
+    target.write_bytes(data[:at] + junk + data[at + cut:])
+    formats = ("csv", "json") if command[0] == "matrix" else ("text", "json")
+    # Strict UTF-8 streams, as a real stdout has: a StringIO would hide encode errors.
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, "--kb", str(kb_dir), "--format", formats[json_format]])
+    assert code in (0, 1, 2)
+    if code != 0:
+        # validate reports its findings on stdout; the other commands on stderr.
+        stream = out if command[0] == "validate" else err
+        assert stream.tell() > 0
