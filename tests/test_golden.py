@@ -1,9 +1,18 @@
 """Golden outputs: the exact stdout, stderr and exit code of every command.
 
-The seed KB runs every command in both of its output formats; the broken KB
+The seed KB runs every command in both of its output formats, and once more
+for each scenario option: a ``--profile-file`` (``golden/extra_profiles.json``,
+whose profiles shadow or extend the KB's), repeated ``--element``,
+``--thresholds``, the ``diff`` scenario options, an empty ``--out`` or
+``--profile-file`` (not given), and moca's own exit-2 messages. The broken KB
 under ``golden/broken_kb`` (a syntax error, dangling references, a
 rule-target-kind warning and a manifest mismatch) runs ``validate`` and
-``evaluate``. Paths inside the broken KB are written as ``<KB>``.
+``evaluate``. The synthetic KB under ``golden/synthetic_kb`` (Hofstede and
+CVM metrics, an artifact, flag, metric and two-term conditions, rules of
+both levels and signs, several rules in one cell, and a profile with a
+missing metric and a MEDIUM value) runs every command in both formats.
+Paths inside the broken KB are written as ``<KB>``, other paths inside
+``golden/`` as ``<GOLDEN>``.
 
 ``golden/parse_errors.json`` holds the exact line, column, message and
 expected tokens of every syntax error for the criterion-6 mutations of the
@@ -29,6 +38,8 @@ from test_dsl import MALFORMED_LINES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BROKEN_KB = GOLDEN / "broken_kb"
+SYNTHETIC_KB = GOLDEN / "synthetic_kb"
+EXTRA_PROFILES = str(GOLDEN / "extra_profiles.json")
 
 _SCENARIO = ("--profile", "strong_hierarchy")
 _SEED = {
@@ -48,14 +59,57 @@ for _command in ("validate", "evaluate"):
     CASES[f"broken_{_command}_json"] = (_command, "--kb", str(BROKEN_KB),
                                         "--format", "json")
 
+_SEED_OPTIONS = {
+    "profile_file": ("evaluate", "--profile-file", EXTRA_PROFILES,
+                     "--profile", "remote_startup", "--element", "review_meeting",
+                     "--element", "planning_meeting", "--thresholds", "20,80"),
+    "profile_file_shadows": ("evaluate", "--profile-file", EXTRA_PROFILES,
+                             "--profile", "strong_hierarchy",
+                             "--flag", "manager_attends_meeting"),
+    "diff_profiles": ("diff", "--profile-a", "strong_hierarchy",
+                      "--profile-b", "flat_hierarchy",
+                      "--flag-a", "manager_attends_meeting", "--all"),
+    "diff_profile_file": ("diff", "--profile", "remote_startup",
+                          "--profile-file", EXTRA_PROFILES,
+                          "--flag-b", "manager_attends_meeting"),
+    "explain_h4": ("explain", "H4"),
+    "empty_out": ("explain", "H5", "--out", ""),
+    "empty_profile_file": ("evaluate", *_SCENARIO, "--profile-file", "",
+                           "--element", "daily_meeting"),
+    "ambiguous_profile": ("evaluate",),
+    "unknown_profile": ("evaluate", "--profile", "nope"),
+    "unknown_profile_file_profile": ("diff", "--profile-file", EXTRA_PROFILES,
+                                     "--profile-a", "remote_startup",
+                                     "--profile-b", "nope"),
+    "unknown_element": ("evaluate", *_SCENARIO, "--element", "ghost"),
+    "unknown_rule": ("explain", "Z9"),
+}
+for _name, _argv in _SEED_OPTIONS.items():
+    CASES[f"seed_{_name}"] = (*_argv, "--kb", str(seed_dir()))
+CASES["seed_diff_profiles_json"] = (*CASES["seed_diff_profiles"], "--format", "json")
+
+_SYNTHETIC = {
+    "validate": ("validate",),
+    "evaluate": ("evaluate", "--profile", "partial_team"),
+    "explain": ("explain", "S3"),
+    "diff": ("diff", "--profile-a", "partial_team", "--profile-b", "full_team",
+             "--flag", "remote_team"),
+    "matrix": ("matrix",),
+}
+for _name, _argv in _SYNTHETIC.items():
+    CASES[f"synthetic_{_name}"] = (*_argv, "--kb", str(SYNTHETIC_KB))
+    CASES[f"synthetic_{_name}_json"] = (*_argv, "--kb", str(SYNTHETIC_KB),
+                                        "--format", "json")
+
 
 def run_case(argv) -> tuple[int, str, str]:
-    """Run the CLI in-process; the KB directory path is normalized."""
+    """Run the CLI in-process; paths under ``golden/`` are normalized."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return (code,) + tuple(stream.getvalue().replace(str(BROKEN_KB), "<KB>")
-                           for stream in (out, err))
+    return (code,) + tuple(
+        stream.getvalue().replace(str(BROKEN_KB), "<KB>").replace(str(GOLDEN), "<GOLDEN>")
+        for stream in (out, err))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
