@@ -15,8 +15,6 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -45,30 +43,10 @@ EXIT_USAGE = 2
 _INPUT_ERROR_CODES = frozenset({"io-error", "unsupported-file"})
 
 
-class OutputFormat(Enum):
-    TEXT = "text"
-    JSON = "json"
-    CSV = "csv"
-
-
 class CliError(MocaError):
     def __init__(self, message: str, exit_code: int = EXIT_USAGE):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    kb_paths: tuple[Path, ...]
-    profile_file: Path | None = None
-    profile_name: str | None = None
-    flags: tuple[str, ...] = ()
-    thresholds: tuple[int, int] = DEFAULT_THRESHOLDS
-    elements: tuple[str, ...] | None = None
-    output_format: OutputFormat = OutputFormat.TEXT
-    out_path: Path | None = None
 
 
 def resolve_kb_paths(kb_args: Sequence[str] | None) -> tuple[Path, ...]:
@@ -89,19 +67,19 @@ def resolve_kb_paths(kb_args: Sequence[str] | None) -> tuple[Path, ...]:
     return tuple(paths)
 
 
-def _emit(config: RunConfig, text: str):
+def _emit(args: argparse.Namespace, text: str):
     """Write to stdout or --out; a regular --out file is replaced whole, mode kept."""
-    if config.out_path is None:
+    if args.out is None:
         sys.stdout.write(text)
         return
-    target = Path(os.path.realpath(config.out_path))
-    inputs = config.kb_paths + ((config.profile_file,) if config.profile_file else ())
+    target = Path(os.path.realpath(args.out))
+    inputs = args.kb + ((args.profile_file,) if args.profile_file else ())
     if any(target == Path(os.path.realpath(path)) for path in inputs):
-        raise CliError(f"--out '{config.out_path}' is an input of this command")
+        raise CliError(f"--out '{args.out}' is an input of this command")
     try:
-        if config.out_path.exists() and not config.out_path.is_file():
+        if args.out.exists() and not args.out.is_file():
             # A device, FIFO or terminal is written in place, never replaced.
-            config.out_path.write_text(text, encoding="utf-8")
+            args.out.write_text(text, encoding="utf-8")
             return
         umask = os.umask(0o022)
         os.umask(umask)
@@ -115,21 +93,26 @@ def _emit(config: RunConfig, text: str):
         finally:
             Path(temp).unlink(missing_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot write '{config.out_path}': {exc}") from None
+        raise CliError(f"cannot write '{args.out}': {exc}") from None
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def _where(finding: Finding) -> str:
+    """' (PATH:LINE)' or ' (PATH)' for a finding from a file, else ''."""
+    if not finding.path:
+        return ""
+    where = finding.path if finding.line is None else f"{finding.path}:{finding.line}"
+    return f" ({where})"
+
+
 def _finding_line(finding: Finding) -> str:
     line = f"{finding.severity.value} {finding.code}: {finding.message}"
     if finding.entity_id:
         line += f" [{finding.entity_id}]"
-    if finding.path:
-        where = finding.path if finding.line is None else f"{finding.path}:{finding.line}"
-        line += f" ({where})"
-    return line
+    return line + _where(finding)
 
 
 def _finding_json(finding: Finding) -> dict:
@@ -149,9 +132,9 @@ def _report_exit_code(report: ValidationReport) -> int:
     return EXIT_INVALID if report.has_errors else EXIT_OK
 
 
-def _require_kb(config: RunConfig) -> KnowledgeBase:
+def _require_kb(args: argparse.Namespace) -> KnowledgeBase:
     """Load the KB for a non-validate command; findings go to stderr."""
-    result = kb_mod.load(config.kb_paths)
+    result = kb_mod.load(args.kb)
     if result.kb is None:
         for finding in result.report.findings:
             print(_finding_line(finding), file=sys.stderr)
@@ -160,54 +143,52 @@ def _require_kb(config: RunConfig) -> KnowledgeBase:
     return result.kb
 
 
-def _resolve_profile(kb: KnowledgeBase, config: RunConfig,
-                     name: str | None) -> CulturalProfile:
+def _profiles(kb: KnowledgeBase, args: argparse.Namespace) -> dict[str, CulturalProfile]:
+    """The KB's profiles by name; those of --profile-file shadow them."""
     profiles = {p.name: p for p in kb.profiles}
-    if config.profile_file is not None:
-        loaded, report = kb_mod.load_profiles(config.profile_file)
-        if report.has_errors:
-            raise CliError("; ".join(f.message for f in report.errors))
-        metric_ids = {m.id for m in kb.metrics}
-        for profile in loaded:
-            unknown = sorted(set(profile.values) - metric_ids)
-            if unknown:
-                raise CliError(
-                    f"profile '{profile.name}' references unknown metrics: "
-                    f"{', '.join(unknown)}")
-            profiles[profile.name] = profile
-    wanted = name or config.profile_name
+    if args.profile_file is None:
+        return profiles
+    loaded, report = kb_mod.load_profiles(args.profile_file)
+    if report.has_errors:
+        raise CliError("; ".join(f.message + _where(f) for f in report.errors))
+    metric_ids = {m.id for m in kb.metrics}
+    for profile in loaded:
+        unknown = sorted(set(profile.values) - metric_ids)
+        if unknown:
+            raise CliError(
+                f"profile '{profile.name}' references unknown metrics: "
+                f"{', '.join(unknown)}")
+        profiles[profile.name] = profile
+    return profiles
+
+
+def _profile(profiles: dict[str, CulturalProfile], name: str | None) -> CulturalProfile:
+    """The named profile, or the only one when no name is given."""
     available = ", ".join(sorted(profiles)) or "none"
-    if wanted is None:
+    if name is None:
         if len(profiles) == 1:
             return next(iter(profiles.values()))
         raise CliError(f"--profile is required (available: {available})")
-    if wanted not in profiles:
-        raise CliError(f"unknown profile '{wanted}' (available: {available})")
-    return profiles[wanted]
+    if name not in profiles:
+        raise CliError(f"unknown profile '{name}' (available: {available})")
+    return profiles[name]
 
 
-def _context(config: RunConfig, profile: CulturalProfile,
-             flags: Sequence[str] | None = None) -> engine.EvaluationContext:
-    return engine.EvaluationContext(
-        profile=profile,
-        flags=frozenset(config.flags if flags is None else flags),
-        thresholds=config.thresholds,
-        elements=config.elements,
-    )
+def _context(args: argparse.Namespace, profile: CulturalProfile,
+             flags: Sequence[str]) -> engine.EvaluationContext:
+    return engine.EvaluationContext(profile, frozenset(flags), args.thresholds, args.element)
 
 
 # --- validate ---------------------------------------------------------------
 
-def cmd_validate(config: RunConfig) -> int:
-    result = kb_mod.load(config.kb_paths)
+def cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
+    result = kb_mod.load(args.kb)
     report = result.report
     if result.kb is not None:
         report = report.merged(kb_mod.validate_completeness(result.kb))
-    if config.output_format is OutputFormat.JSON:
-        _emit(config, _json_text(_validate_json(result.kb, report)))
-    else:
-        _emit(config, _validate_text(result.kb, report))
-    return _report_exit_code(report)
+    if args.format == "json":
+        return _report_exit_code(report), _json_text(_validate_json(result.kb, report))
+    return _report_exit_code(report), _validate_text(result.kb, report)
 
 
 def _kb_summary(kb: KnowledgeBase) -> dict:
@@ -237,7 +218,7 @@ def _validate_text(kb: KnowledgeBase | None, report: ValidationReport) -> str:
         lines.append(f"rules: {summary['rules']}")
         lines.append(f"profiles: {summary['profiles']}")
         lines.append(f"matrix domain: {summary['matrix_cells']} cells")
-        if kb.manifest is not None and not report.has_errors:
+        if kb.manifest is not None:
             lines.append("manifest: counts confirmed")
     lines.extend(_finding_line(f) for f in report.findings)
     lines.append(f"result: {len(report.errors)} error(s), "
@@ -255,15 +236,13 @@ def _validate_json(kb: KnowledgeBase | None, report: ValidationReport) -> dict:
 
 # --- evaluate ---------------------------------------------------------------
 
-def cmd_evaluate(config: RunConfig) -> int:
-    kb = _require_kb(config)
-    profile = _resolve_profile(kb, config, None)
-    assessments = engine.evaluate(kb, _context(config, profile))
-    if config.output_format is OutputFormat.JSON:
-        _emit(config, _json_text([_assessment_json(a) for a in assessments]))
-    else:
-        _emit(config, _assessments_text(kb, assessments))
-    return EXIT_OK
+def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
+    kb = _require_kb(args)
+    profile = _profile(_profiles(kb, args), args.profile)
+    assessments = engine.evaluate(kb, _context(args, profile, args.flag))
+    if args.format == "json":
+        return EXIT_OK, _json_text([_assessment_json(a) for a in assessments])
+    return EXIT_OK, _assessments_text(kb, assessments)
 
 
 def _assessment_json(a: engine.Assessment) -> dict:
@@ -313,14 +292,11 @@ def _assessments_text(kb: KnowledgeBase, assessments: Sequence[engine.Assessment
 
 # --- matrix -----------------------------------------------------------------
 
-def cmd_matrix(config: RunConfig) -> int:
-    kb = _require_kb(config)
-    matrix = engine.export_matrix(kb)
-    if config.output_format is OutputFormat.JSON:
-        _emit(config, _json_text(_matrix_json(matrix)))
-    else:
-        _emit(config, _matrix_csv(matrix))
-    return EXIT_OK
+def cmd_matrix(args: argparse.Namespace) -> tuple[int, str]:
+    matrix = engine.export_matrix(_require_kb(args))
+    if args.format == "json":
+        return EXIT_OK, _json_text(_matrix_json(matrix))
+    return EXIT_OK, _matrix_csv(matrix)
 
 
 def _cell_token(entry: engine.MatrixEntry) -> str:
@@ -364,14 +340,12 @@ def _matrix_json(matrix: engine.MatrixExport) -> dict:
 
 # --- explain ----------------------------------------------------------------
 
-def cmd_explain(config: RunConfig, rule_id: str) -> int:
-    kb = _require_kb(config)
-    rule = kb.rule(rule_id)
-    if config.output_format is OutputFormat.JSON:
-        _emit(config, _json_text(_explain_json(kb, rule)))
-    else:
-        _emit(config, _explain_text(kb, rule))
-    return EXIT_OK
+def cmd_explain(args: argparse.Namespace) -> tuple[int, str]:
+    kb = _require_kb(args)
+    rule = kb.rule(args.rule_id)
+    if args.format == "json":
+        return EXIT_OK, _json_text(_explain_json(kb, rule))
+    return EXIT_OK, _explain_text(kb, rule)
 
 
 def _term_text(term) -> str:
@@ -428,22 +402,19 @@ def _explain_json(kb: KnowledgeBase, rule: ImpactRule) -> dict:
 
 # --- diff -------------------------------------------------------------------
 
-def cmd_diff(config: RunConfig, profile_a: str | None, profile_b: str | None,
-             flags_a: Sequence[str], flags_b: Sequence[str],
-             show_all: bool) -> int:
-    kb = _require_kb(config)
-    ctx_a = _context(config, _resolve_profile(kb, config, profile_a),
-                     tuple(config.flags) + tuple(flags_a))
-    ctx_b = _context(config, _resolve_profile(kb, config, profile_b),
-                     tuple(config.flags) + tuple(flags_b))
+def cmd_diff(args: argparse.Namespace) -> tuple[int, str]:
+    kb = _require_kb(args)
+    profiles = _profiles(kb, args)
+    ctx_a = _context(args, _profile(profiles, args.profile_a or args.profile),
+                     args.flag + args.flag_a)
+    ctx_b = _context(args, _profile(profiles, args.profile_b or args.profile),
+                     args.flag + args.flag_b)
     diffs = engine.diff(kb, ctx_a, ctx_b)
-    if not show_all:
+    if not args.all:
         diffs = tuple(d for d in diffs if d.delta != 0 or d.rules_changed)
-    if config.output_format is OutputFormat.JSON:
-        _emit(config, _json_text([_diff_json(d) for d in diffs]))
-    else:
-        _emit(config, _diff_text(diffs))
-    return EXIT_OK
+    if args.format == "json":
+        return EXIT_OK, _json_text([_diff_json(d) for d in diffs])
+    return EXIT_OK, _diff_text(diffs)
 
 
 def _diff_json(d: engine.ElementDiff) -> dict:
@@ -479,6 +450,11 @@ def _thresholds_arg(text: str) -> tuple[int, int]:
             f"expected LOW,HIGH with 0 < LOW < HIGH < 100: {exc}") from None
 
 
+def _path_arg(text: str) -> Path | None:
+    """An empty PATH counts as not given."""
+    return Path(text) if text else None
+
+
 def _add_kb_options(p: argparse.ArgumentParser, formats: tuple[str, ...],
                     default_format: str):
     p.add_argument("--kb", action="append", metavar="PATH",
@@ -486,12 +462,12 @@ def _add_kb_options(p: argparse.ArgumentParser, formats: tuple[str, ...],
                         "(default: $MOCA_KB_PATH, then the bundled seed KB)")
     p.add_argument("--format", choices=formats, default=default_format,
                    help=f"output format (default: {default_format})")
-    p.add_argument("--out", metavar="PATH",
+    p.add_argument("--out", type=_path_arg, metavar="PATH",
                    help="write output to PATH instead of standard output")
 
 
 def _add_scenario_options(p: argparse.ArgumentParser):
-    p.add_argument("--profile-file", metavar="PATH",
+    p.add_argument("--profile-file", type=_path_arg, metavar="PATH",
                    help="extra profiles file; names shadow KB profiles")
     p.add_argument("--profile", metavar="NAME", help="profile to evaluate")
     p.add_argument("--flag", action="append", default=[], metavar="ID",
@@ -508,23 +484,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="moca",
         description="Evaluate the impact of a cultural profile on agile "
                     "practices and roles, using an authorable causal rule base.")
+    parser.set_defaults(profile_file=None)  # _emit reads it for every command
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="load a knowledge base and report findings")
+    p.set_defaults(run=cmd_validate)
     _add_kb_options(p, ("text", "json"), "text")
 
     p = sub.add_parser("evaluate", help="assess every element for one profile")
+    p.set_defaults(run=cmd_evaluate)
     _add_kb_options(p, ("text", "json"), "text")
     _add_scenario_options(p)
 
     p = sub.add_parser("explain", help="show one rule with its condition and rationale")
+    p.set_defaults(run=cmd_explain)
     _add_kb_options(p, ("text", "json"), "text")
     p.add_argument("rule_id", metavar="RULE")
 
     p = sub.add_parser("matrix", help="export the full metric x element impact matrix")
+    p.set_defaults(run=cmd_matrix)
     _add_kb_options(p, ("csv", "json"), "csv")
 
     p = sub.add_parser("diff", help="compare two evaluation scenarios")
+    p.set_defaults(run=cmd_diff)
     _add_kb_options(p, ("text", "json"), "text")
     _add_scenario_options(p)
     p.add_argument("--profile-a", metavar="NAME",
@@ -540,38 +522,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        kb_paths=resolve_kb_paths(args.kb),
-        profile_file=Path(args.profile_file)
-            if getattr(args, "profile_file", None) else None,
-        profile_name=getattr(args, "profile", None),
-        flags=tuple(getattr(args, "flag", ())),
-        thresholds=getattr(args, "thresholds", DEFAULT_THRESHOLDS),
-        elements=tuple(args.element)
-            if getattr(args, "element", None) else None,
-        output_format=OutputFormat(args.format),
-        out_path=Path(args.out) if args.out else None,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command: the one place that writes its output and turns errors
+    into exit codes."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = _config_from(args)
     try:
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "explain":
-            return cmd_explain(config, args.rule_id)
-        if args.command == "matrix":
-            return cmd_matrix(config)
-        return cmd_diff(config, args.profile_a, args.profile_b,
-                        args.flag_a, args.flag_b, args.all)
+        args.kb = resolve_kb_paths(args.kb)
+        code, text = args.run(args)
+        _emit(args, text)
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -493,8 +493,7 @@ def _classify_item(item: dict) -> str | None:
     return None
 
 
-def _read_json_file(path: Path, out: _Collector):
-    name = str(path)
+def _read_json_file(path: Path, name: str, out: _Collector):
     try:
         text = path.read_text(encoding="utf-8")
         payload = json.loads(text, object_pairs_hook=_no_duplicate_keys)
@@ -534,8 +533,7 @@ def _read_json_file(path: Path, out: _Collector):
         parsers[shape](item, name, out)
 
 
-def _read_rule_file(path: Path, out: _Collector):
-    name = str(path)
+def _read_rule_file(path: Path, name: str, out: _Collector):
     try:
         source = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -557,28 +555,34 @@ def _read_rule_file(path: Path, out: _Collector):
     out.conditions.extend(doc.conditions)
 
 
-def _unsupported_file(path: Path, out: _Collector):
+def _unsupported_file(path: Path, name: str, out: _Collector):
     out.error("unsupported-file",
-              f"'{path}' is neither a .json data file nor a .moca rule file",
-              entity_id=str(path), path=str(path))
+              f"'{name}' is neither a .json data file nor a .moca rule file",
+              entity_id=name, path=name)
 
 
 #: Reader for each knowledge-base file suffix.
 _READERS = {".json": _read_json_file, ".moca": _read_rule_file}
 
 
-def _read_file(path: Path, reader: Callable[[Path, _Collector], None],
+def _file_name(path: Path) -> str:
+    """path for a finding: a byte that is not UTF-8 becomes a \\xNN escape,
+    so every output can hold it."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
+def _read_file(path: Path, reader: Callable[[Path, str, _Collector], None],
                out: _Collector):
     """Run reader on path; a missing or unreadable file is an io-error finding."""
+    name = _file_name(path)
     try:
         if path.is_file():
-            reader(path, out)
+            reader(path, name, out)
             return
         reason = "not a readable file"
     except OSError as exc:
         reason = str(exc)
-    out.error("io-error", f"cannot read '{path}': {reason}",
-              entity_id=str(path), path=str(path))
+    out.error("io-error", f"cannot read '{name}': {reason}", entity_id=name, path=name)
 
 
 def load(paths: Iterable[str | Path]) -> LoadResult:
@@ -624,11 +628,12 @@ def load_profiles(path: str | Path) -> tuple[tuple[CulturalProfile, ...], Valida
     out = _Collector()
     file_path = Path(path)
     _read_file(file_path, _read_json_file, out)
-    for entity in (out.metrics, out.elements):
-        for stray in entity:
-            out.error("invalid-entity",
-                      f"expected only profiles in '{file_path}', found {stray.id}",
-                      entity_id=stray.id, path=str(file_path))
+    name = _file_name(file_path)
+    for stray in (*out.metrics, *out.elements):
+        out.error("invalid-entity", f"expected only profiles, found {stray.id}",
+                  entity_id=stray.id, path=name)
+    if out.manifest is not None:
+        out.error("invalid-entity", "expected only profiles, found a manifest", path=name)
     return tuple(out.profiles), ValidationReport(tuple(out.findings))
 
 
@@ -638,9 +643,16 @@ def seed_dir() -> Path:
 
 
 def expand_kb_path(path: Path) -> list[Path]:
-    """A directory's .json and .moca files in sorted order; a file as given."""
-    if path.is_dir():
-        return sorted(p for p in path.iterdir() if p.suffix in _READERS)
+    """A directory's .json and .moca files in sorted order; a file as given.
+
+    A path that cannot be stat'ed or listed is returned as given, for load()
+    to report as an io-error.
+    """
+    try:
+        if path.is_dir():
+            return sorted(p for p in path.iterdir() if p.suffix in _READERS)
+    except OSError:
+        pass
     return [path]
 
 

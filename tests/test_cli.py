@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from moca import kb as kb_mod
 from moca.cli import main
 from moca.kb import seed_dir
 
@@ -28,6 +29,17 @@ def run(capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
     return _run
+
+
+def run_strict(*argv):
+    """main() with stdout and stderr as strict UTF-8 streams, as a real stdout
+    has: a StringIO would hide encode errors."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    for stream in (out, err):
+        stream.flush()
+    return (code,) + tuple(stream.buffer.getvalue().decode("utf-8") for stream in (out, err))
 
 
 EVAL_ARGS = ("evaluate", "--profile", "strong_hierarchy")
@@ -184,7 +196,7 @@ class TestEvaluate:
         else:
             code, _, err = run(*EVAL_ARGS, "--profile-file", str(deep))
             assert code == 2
-            assert err == "error: nesting is too deep to decode\n"
+            assert err == f"error: nesting is too deep to decode ({deep})\n"
 
     @pytest.mark.parametrize("where", ["kb", "profile-file"])
     def test_lone_surrogate_is_invalid_json(self, run, tmp_path, where):
@@ -204,9 +216,39 @@ class TestEvaluate:
         else:
             code, out, err = run(*EVAL_ARGS, "--profile-file", str(profiles))
             assert code == 2
-            assert err == "error: a string decodes to a lone surrogate\n"
+            assert err == f"error: a string decodes to a lone surrogate ({profiles})\n"
         assert out == ""
         assert "Traceback" not in err
+
+    def test_broken_profile_file_names_its_location(self, run, tmp_path):
+        profile_file = tmp_path / "extra.json"
+        profile_file.write_text('[\n{"name": "custom", ')
+        code, out, err = run(*EVAL_ARGS, "--profile-file", str(profile_file))
+        assert (code, out) == (2, "")
+        assert err == ("error: Expecting property name enclosed in double quotes "
+                       f"({profile_file}:2)\n")
+
+    def test_manifest_as_profile_file_exits_2(self, run):
+        manifest = seed_dir() / "manifest.json"
+        code, out, err = run(*EVAL_ARGS, "--profile-file", str(manifest))
+        assert (code, out) == (2, "")
+        assert err == f"error: expected only profiles, found a manifest ({manifest})\n"
+
+    def test_profile_file_is_read_once(self, run, tmp_path, monkeypatch):
+        profile_file = tmp_path / "extra.json"
+        profile_file.write_text(json.dumps([{"name": "custom", "values": {"PDI": 90}}]))
+        reads = []
+        load_profiles = kb_mod.load_profiles
+
+        def counting_load_profiles(path):
+            reads.append(path)
+            return load_profiles(path)
+
+        monkeypatch.setattr(kb_mod, "load_profiles", counting_load_profiles)
+        code, _, _ = run("diff", "--profile-file", str(profile_file),
+                         "--profile-a", "custom", "--profile-b", "strong_hierarchy")
+        assert code == 0
+        assert reads == [profile_file]
 
     def test_profile_file_with_unknown_metric_exits_2(self, run, tmp_path):
         profile_file = tmp_path / "extra.json"
@@ -456,10 +498,60 @@ class TestKbResolution:
         assert err.startswith(f"error: cannot write '{target}'")
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("route", ["kb", "env"])
+    def test_unstatable_kb_path_is_an_io_error(self, run, monkeypatch, tmp_path, route):
+        too_long = str(tmp_path / ("x" * 5000))
+        if route == "kb":
+            code, out, err = run("validate", "--kb", too_long)
+        else:
+            monkeypatch.setenv("MOCA_KB_PATH", too_long)
+            code, out, err = run("validate")
+        assert code == 2
+        assert "error io-error: cannot read" in out
+        assert "File name too long" in out
+        assert err == ""
+
     def test_help_exits_0(self, run):
         code, out, _ = run("--help")
         assert code == 0
         assert "validate" in out
+
+
+class TestNonUtf8FileName:
+    """A KB file name that is not UTF-8 is shown with \\xNN escapes."""
+
+    @pytest.fixture
+    def kb_dir(self, tmp_path):
+        kb_dir = tmp_path / "kb"
+        shutil.copytree(seed_dir(), kb_dir)
+        (kb_dir / os.fsdecode(b"bad\xff.json")).write_text("[1")
+        return kb_dir
+
+    def where(self, kb_dir):
+        return f"({kb_dir}{os.sep}bad\\xff.json:1)"
+
+    def test_validate(self, kb_dir):
+        code, out, err = run_strict("validate", "--kb", str(kb_dir))
+        assert (code, err) == (1, "")
+        assert f"error invalid-json: Expecting ',' delimiter {self.where(kb_dir)}" in out
+
+    def test_validate_out(self, kb_dir, tmp_path):
+        report = tmp_path / "report.txt"
+        code, out, err = run_strict("validate", "--kb", str(kb_dir), "--out", str(report))
+        assert (code, out, err) == (1, "", "")
+        assert self.where(kb_dir) in report.read_text(encoding="utf-8")
+
+    def test_validate_json(self, kb_dir):
+        code, out, err = run_strict("validate", "--kb", str(kb_dir), "--format", "json")
+        assert (code, err) == (1, "")
+        (finding,) = json.loads(out)["findings"]
+        assert finding["path"] == f"{kb_dir}{os.sep}bad\\xff.json"
+
+    def test_evaluate(self, kb_dir):
+        code, out, err = run_strict(*EVAL_ARGS, "--kb", str(kb_dir))
+        assert (code, out) == (1, "")
+        assert self.where(kb_dir) in err
+        assert "Traceback" not in err
 
 
 _KB_FILES = ("metrics.json", "elements.json", "profiles.json", "manifest.json", "rules.moca")
@@ -492,12 +584,9 @@ def test_corrupt_kb_file_never_crashes_the_cli(tmp_path, name, command, json_for
     at = position % (len(data) + 1)
     target.write_bytes(data[:at] + junk + data[at + cut:])
     formats = ("csv", "json") if command[0] == "matrix" else ("text", "json")
-    # Strict UTF-8 streams, as a real stdout has: a StringIO would hide encode errors.
-    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*command, "--kb", str(kb_dir), "--format", formats[json_format]])
+    code, out, err = run_strict(*command, "--kb", str(kb_dir),
+                                "--format", formats[json_format])
     assert code in (0, 1, 2)
     if code != 0:
         # validate reports its findings on stdout; the other commands on stderr.
-        stream = out if command[0] == "validate" else err
-        assert stream.tell() > 0
+        assert out if command[0] == "validate" else err
