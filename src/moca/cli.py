@@ -1,8 +1,9 @@
 """Command-line interface: validate, evaluate, explain, matrix, diff.
 
 Exit codes are a stable scripting contract: 0 on success, 1 when the
-knowledge base has validation errors, 2 for usage and input problems.
-No command mutates any input file.
+knowledge base has validation errors, 2 for usage and input problems and
+for output that cannot be written, 130 when interrupted. No command mutates
+any input file.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .model import (
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130
 
 #: Load-failure codes that mean "bad input", not "invalid knowledge".
 _INPUT_ERROR_CODES = frozenset({"io-error", "unsupported-file"})
@@ -70,7 +72,19 @@ def resolve_kb_paths(kb_args: Sequence[str] | None) -> tuple[Path, ...]:
 def _emit(args: argparse.Namespace, text: str):
     """Write to stdout or --out; a regular --out file is replaced whole, mode kept."""
     if args.out is None:
-        sys.stdout.write(text)
+        if sys.stdout is None:  # the process started with stdout closed
+            raise CliError("cannot write standard output: it is closed")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # The interpreter flushes stdout again at exit; pointing it at
+            # os.devnull drops the unwritten rest there, as the Python docs'
+            # "Note on SIGPIPE" (signal module) does for a closed pipe.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise CliError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     target = Path(os.path.realpath(args.out))
     inputs = args.kb + ((args.profile_file,) if args.profile_file else ())
@@ -522,6 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(exc: Exception):
+    """One 'error:' line on stderr, when stderr can still be written."""
+    try:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command: the one place that writes its output and turns errors
     into exit codes."""
@@ -535,11 +557,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(args, text)
         return code
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return exc.exit_code
     except (UnknownEntityError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -19,13 +19,13 @@ emitted. The parser does no reference resolution: rules may name metrics,
 elements, or conditions declared elsewhere, and the knowledge-base loader
 reports anything that dangles.
 
-One compiled master regex (``_TOKEN_RE``, walked with ``finditer``) splits
-each line into ``(kind, text, column)`` tuples: ``keyword``, ``ident``,
-``string`` or ``colon``, closed by ``end``. A lone ``"`` is an unterminated
-string and any other stray character an unexpected one. One recursive-descent
-parser, ``_LineParser``, reads the tokens with two verbs: ``accept`` for an
-optional token and ``expect`` for a required one, whose absence fails the
-line with a positioned ``ParseError``.
+An anchored regex, ``_RULE_LINE_RE``, only accepts: it builds the rule of a
+well-formed ``RULE`` line whose identifiers are not keywords. ``_LineParser``
+reads and diagnoses every other line, so every ``ParseError`` comes from one
+parser. It reads the ``(kind, text, column)`` tokens of ``_TOKEN_RE`` (one
+master regex walked with ``finditer``), closed by an ``end`` token, with two
+verbs: ``accept`` for an optional token and ``expect`` for a required one,
+whose absence fails the line with a positioned ``ParseError``.
 """
 
 from __future__ import annotations
@@ -108,10 +108,19 @@ class RuleDocument:
         return tuple(e for e in self.entries if isinstance(e, ImpactCondition))
 
 
+_WORD = r"[A-Za-z][A-Za-z0-9_]*"  # a keyword or an identifier
+
 #: The whole lexical grammar, tried at each position after spaces and tabs:
-#: a word (a keyword or an identifier), a quoted string, a colon, or, as the
-#: last resort, one character no token can start with.
-_TOKEN_RE = re.compile(r'[ \t]*(?:([A-Za-z][A-Za-z0-9_]*)|"([^"]*)"|(:)|([^ \t]))')
+#: a word, a quoted string, a colon, or, as the last resort, one character no
+#: token can start with.
+_TOKEN_RE = re.compile(rf'[ \t]*(?:({_WORD})|"([^"]*)"|(:)|([^ \t]))')
+
+#: A well-formed RULE line: ``[ \t]*`` between tokens, ``[ \t]+`` between words.
+_RULE_LINE_RE = re.compile(
+    rf'[ \t]*RULE[ \t]+({_WORD})[ \t]*(?:"([^"]*)"[ \t]*)?:[ \t]*'
+    rf'(?:IF[ \t]+({_WORD})[ \t]+THEN[ \t]+)?(HIGH|LOW)[ \t]+({_WORD})[ \t]+IMPACTS[ \t]+'
+    rf'({_WORD})[ \t]+(POSITIVE|NEGATIVE)(?:[ \t]+BECAUSE[ \t]*"([^"]*)")?[ \t]*')
+_MEMBERS = {**Level.__members__, **ImpactSign.__members__}  # "HIGH": Level.HIGH, ...
 
 #: How each token kind is named in messages and in ``ParseError.expected``.
 _KIND_NAMES = {"keyword": "keyword", "ident": "identifier", "string": "string",
@@ -226,6 +235,29 @@ def _parse_condition_line(p: _LineParser) -> ImpactCondition:
     return ImpactCondition(id=cond_id, description=description, terms=tuple(terms))
 
 
+def _match_rule_line(raw: str) -> ImpactRule | None:
+    """The rule on a well-formed RULE line; None leaves the line to the parser."""
+    if (match := _RULE_LINE_RE.fullmatch(raw)) is None:
+        return None
+    rule_id, title, condition, stated, metric, element, sign, rationale = match.groups()
+    if not KEYWORDS.isdisjoint((rule_id, condition, metric, element)):
+        return None  # a keyword where an identifier belongs
+    return ImpactRule(rule_id, title or "", metric, _MEMBERS[stated], _MEMBERS[sign],
+                      element, condition, rationale or "")
+
+
+def _parse_line(raw: str, line_no: int) -> DocumentEntry:
+    p = _LineParser(_tokenize(raw, line_no), line_no)
+    if p.accept("keyword", "RULE"):
+        entry = _parse_rule_line(p)
+    elif p.accept("keyword", "CONDITION"):
+        entry = _parse_condition_line(p)
+    else:
+        p._fail("RULE, CONDITION, or comment", ("RULE", "CONDITION", "#"))
+    p.expect("end")
+    return entry
+
+
 def _scan(source: str) -> tuple[list[DocumentEntry], list[int], list[ParseError]]:
     entries: list[DocumentEntry] = []
     lines: list[int] = []
@@ -240,14 +272,7 @@ def _scan(source: str) -> tuple[list[DocumentEntry], list[int], list[ParseError]
             lines.append(line_no)
             continue
         try:
-            p = _LineParser(_tokenize(raw, line_no), line_no)
-            if p.accept("keyword", "RULE"):
-                entry = _parse_rule_line(p)
-            elif p.accept("keyword", "CONDITION"):
-                entry = _parse_condition_line(p)
-            else:
-                p._fail("RULE, CONDITION, or comment", ("RULE", "CONDITION", "#"))
-            p.expect("end")
+            entry = _match_rule_line(raw) or _parse_line(raw, line_no)
         except _LineError as exc:
             errors.append(exc.error)
             continue

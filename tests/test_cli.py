@@ -1,15 +1,19 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import moca
 from moca import kb as kb_mod
 from moca.cli import main
 from moca.kb import seed_dir
@@ -515,6 +519,74 @@ class TestKbResolution:
         code, out, _ = run("--help")
         assert code == 0
         assert "validate" in out
+
+
+def _run_child(*argv, stdout, preexec_fn=None):
+    """`moca ARGV` in a child interpreter; returns its exit code and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(moca.__file__).parents[1])}
+    env.pop("MOCA_KB_PATH", None)
+    child = subprocess.run([sys.executable, "-m", "moca.cli", *argv], stdout=stdout,
+                           stderr=subprocess.PIPE, env=env, preexec_fn=preexec_fn,
+                           timeout=120)
+    return child.returncode, child.stderr.decode()
+
+
+class TestOutputFailure:
+    """A stdout that cannot be written, or an interrupt, ends in an exit code
+    and at most one stderr line, never a traceback."""
+
+    def test_reader_closed_early(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = _run_child(*EVAL_ARGS, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (2, "error: cannot write standard output: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "wb") as full:
+            code, err = _run_child("validate", stdout=full)
+        assert (code, err) == (2, "error: cannot write standard output: "
+                                  "No space left on device\n")
+
+    def test_closed_stdout(self):
+        code, err = _run_child("validate", stdout=None, preexec_fn=lambda: os.close(1))
+        assert (code, err) == (2, "error: cannot write standard output: it is closed\n")
+
+    def test_write_error_in_process(self, run, monkeypatch, tmp_path):
+        """The failed stream's descriptor is pointed at os.devnull, so the
+        interpreter's final flush cannot fail again."""
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        try:
+            code, _, err = run(*EVAL_ARGS)
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert (code, err) == (2, "error: cannot write standard output: "
+                                  "No space left on device\n")
+
+    def test_interrupt_leaves_no_temporary_file(self, run, monkeypatch, tmp_path):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        try:
+            code, out, err = run("matrix", "--out", str(tmp_path / "matrix.csv"))
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main()")
+        assert (code, out, err) == (130, "", "")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNonUtf8FileName:

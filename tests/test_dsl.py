@@ -2,9 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from moca import dsl
 from moca.dsl import (
+    KEYWORDS,
     Comment,
     ParseError,
     RuleDocument,
@@ -22,7 +24,7 @@ from moca.model import (
     MetricPredicate,
 )
 
-from strategies import rule_documents
+from strategies import rule_documents, syntax_rule_st
 
 H6_LINE = ('RULE H6 "open communication (of problems)": '
            'IF IC1 THEN HIGH PDI IMPACTS daily_meeting NEGATIVE')
@@ -44,7 +46,8 @@ MALFORMED_LINES = [
     ("RULE H1 HIGH A IMPACTS b POSITIVE", "':'"),
     ("RULE H1: HIGH A IMPACTS b POSITIVE # trailing", "unexpected character"),
 ]
-GOLDEN_PARSE_ERRORS = Path(__file__).resolve().parent / "golden" / "parse_errors.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_PARSE_ERRORS = GOLDEN / "parse_errors.json"
 
 
 class TestParse:
@@ -207,3 +210,104 @@ class TestErrorTotality:
                 assert err.column >= 1
         else:
             assert isinstance(doc, RuleDocument)
+
+
+#: Pieces the mutations insert besides random characters: everything that can
+#: turn a rule line into another well-formed one or break it at one token.
+_PIECES = (*sorted(KEYWORDS), '"', '""', '"x"', ":", " ", "\t", "\r", "\f", "#",
+           "é", "R1", "_", "9")
+
+
+@st.composite
+def mutated_rule_lines(draw):
+    """A serialized rule line after 0 to 3 edits: insert, delete, replace,
+    swap two words, truncate."""
+    line = serialize(RuleDocument(entries=(draw(syntax_rule_st),))).rstrip("\n")
+    edits = draw(st.integers(0, 3))
+    for _ in range(edits):
+        at = draw(st.integers(0, len(line)))
+        end = min(len(line), at + draw(st.integers(1, 4)))
+        piece = draw(st.sampled_from(_PIECES) | st.text(max_size=2))
+        edit = draw(st.sampled_from(("insert", "delete", "replace", "swap", "truncate")))
+        if edit == "insert":
+            line = line[:at] + piece + line[at:]
+        elif edit == "delete":
+            line = line[:at] + line[end:]
+        elif edit == "replace":
+            line = line[:at] + piece + line[end:]
+        elif edit == "swap":
+            words = line.split(" ")
+            i, j = draw(st.integers(0, len(words) - 1)), draw(st.integers(0, len(words) - 1))
+            words[i], words[j] = words[j], words[i]
+            line = " ".join(words)
+        else:
+            line = line[:at]
+    return line, edits
+
+
+def _parsed(line):
+    """What the recursive-descent parser makes of one line: an entry or an error."""
+    try:
+        return dsl._parse_line(line, 1)
+    except dsl._LineError as exc:
+        return exc.error
+
+
+class TestRuleLineRegex:
+    """The anchored RULE-line regex only accepts, and accepts only what the
+    parser reads the same way."""
+
+    @given(mutated_rule_lines())
+    @settings(max_examples=1000)
+    def test_agrees_with_the_parser(self, drawn):
+        line, edits = drawn
+        fast = dsl._match_rule_line(line)
+        if fast is None:
+            assert edits, f"an unedited rule line fell through: {line!r}"
+            return
+        parsed = _parsed(line)
+        assert parsed == fast
+        assert parsed.polarity == fast.polarity
+
+    @pytest.mark.parametrize("line,accepted", [
+        ("RULE IF: HIGH M IMPACTS e POSITIVE", False),
+        ("RULE R1: HIGH AND IMPACTS e POSITIVE", False),
+        ('RULE R1"t":HIGH M IMPACTS e POSITIVE BECAUSE"x"', True),
+        ('RULE\tR1\t"t"\t:\tIF\tC1\tTHEN\tLOW\tM\tIMPACTS\te\tNEGATIVE\tBECAUSE\t"x"\t', True),
+        ("  RULE R1 : LOW M IMPACTS e NEGATIVE  ", True),
+        ("RULE R1: HIGH M IMPACTS e POSITIVE # note", False),
+        ("RULE R1: HIGH M IMPACTS e POSITIVEBECAUSE \"x\"", False),
+        ("RULE R1: HIGH M IMPACTS e POSITIVE\r", False),
+        ("RULE R1: HIGH M IMPACTS e POSITIVE\f", False),
+        ("RULE R1: HIGH M IMPACTS é POSITIVE", False),
+    ])
+    def test_explicit_lines(self, line, accepted):
+        fast = dsl._match_rule_line(line)
+        parsed = _parsed(line)
+        if accepted:
+            assert fast is not None
+            assert parsed == fast
+            assert parsed.polarity == fast.polarity
+        else:
+            assert fast is None
+            assert parse_errors(line) == (parsed,)
+
+    def test_only_condition_lines_reach_the_parser(self, monkeypatch, seed_paths):
+        """Every well-formed RULE line of the seed and synthetic KBs takes the
+        regex: a regex that stopped matching would still parse correctly."""
+        parsed_lines = []
+
+        class CountingParser(dsl._LineParser):
+            def __init__(self, tokens, line_no):
+                parsed_lines.append(line_no)
+                super().__init__(tokens, line_no)
+
+        monkeypatch.setattr(dsl, "_LineParser", CountingParser)
+        sources = [p for p in seed_paths if p.suffix == ".moca"]
+        sources += sorted((GOLDEN / "synthetic_kb").glob("*.moca"))
+        for path in sources:
+            parsed_lines.clear()
+            doc = parse(path.read_text(encoding="utf-8"))
+            assert doc.rules
+            assert parsed_lines == [line for entry, line in zip(doc.entries, doc.lines)
+                                    if isinstance(entry, ImpactCondition)]
