@@ -531,6 +531,9 @@ def _run_child(*argv, stdout, preexec_fn=None):
     return child.returncode, child.stderr.decode()
 
 
+CANNOT_WRITE = "error: cannot write standard output"
+
+
 class TestOutputFailure:
     """A stdout that cannot be written, or an interrupt, ends in an exit code
     and at most one stderr line, never a traceback."""
@@ -542,18 +545,17 @@ class TestOutputFailure:
             code, err = _run_child(*EVAL_ARGS, stdout=write_end)
         finally:
             os.close(write_end)
-        assert (code, err) == (2, "error: cannot write standard output: Broken pipe\n")
+        assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.EPIPE)}\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device(self):
         with open("/dev/full", "wb") as full:
             code, err = _run_child("validate", stdout=full)
-        assert (code, err) == (2, "error: cannot write standard output: "
-                                  "No space left on device\n")
+        assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.ENOSPC)}\n")
 
     def test_closed_stdout(self):
         code, err = _run_child("validate", stdout=None, preexec_fn=lambda: os.close(1))
-        assert (code, err) == (2, "error: cannot write standard output: it is closed\n")
+        assert (code, err) == (2, f"{CANNOT_WRITE}: it is closed\n")
 
     def test_write_error_in_process(self, run, monkeypatch, tmp_path):
         """The failed stream's descriptor is pointed at os.devnull, so the
@@ -573,8 +575,7 @@ class TestOutputFailure:
             assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
         finally:
             os.close(fd)
-        assert (code, err) == (2, "error: cannot write standard output: "
-                                  "No space left on device\n")
+        assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.ENOSPC)}\n")
 
     def test_interrupt_leaves_no_temporary_file(self, run, monkeypatch, tmp_path):
         def interrupt(*args):

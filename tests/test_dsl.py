@@ -258,7 +258,7 @@ class TestRuleLineRegex:
     parser reads the same way."""
 
     @given(mutated_rule_lines())
-    @settings(max_examples=1000)
+    @settings(max_examples=500)
     def test_agrees_with_the_parser(self, drawn):
         line, edits = drawn
         fast = dsl._match_rule_line(line)
