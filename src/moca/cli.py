@@ -9,8 +9,6 @@ any input file.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import stat
@@ -321,16 +319,16 @@ def _cell_token(entry: engine.MatrixEntry) -> str:
 
 
 def _matrix_csv(matrix: engine.MatrixExport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["metric", *matrix.elements])
+    """CSV needing no quoting: ids and cell tokens are identifiers joined by
+    ':', '@' and ';', which the model's constructors enforce."""
+    lines = [",".join(["metric", *matrix.elements])]
     for metric_id in matrix.metrics:
         row = [metric_id]
         for element_id in matrix.elements:
             entries = matrix.cells.get((metric_id, element_id), ())
             row.append(";".join(_cell_token(entry) for entry in entries))
-        writer.writerow(row)
-    return buffer.getvalue()
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def _matrix_json(matrix: engine.MatrixExport) -> dict:

@@ -7,9 +7,11 @@ A knowledge base is assembled from plain data files:
   object).
 * ``*.moca`` files hold impact rules and conditions in the rule language.
 
-Loading is deterministic and independent of the order paths are given in;
-referential integrity is checked across the whole file set, and a file set
-with any error-severity finding never produces a knowledge base.
+Loading is deterministic and independent of the order paths are given in.
+Constructing a KnowledgeBase is the one validity gate: unique ids,
+references across the whole file set and a manifest's declared counts are
+checked there, and a file set with any error-severity finding never
+produces a knowledge base. validate_completeness adds coverage warnings.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import dsl
 from .model import (
@@ -106,52 +108,37 @@ class KnowledgeBaseError(MocaError, ValueError):
         super().__init__(head + extra)
 
 
-def _integrity_findings(kb: KnowledgeBase) -> list[Finding]:
-    """Uniqueness and referential-integrity findings for assembled entities."""
+def _reference_findings(kb: KnowledgeBase) -> list[Finding]:
+    """Referential-integrity findings, read from the KB's id indexes."""
     findings: list[Finding] = []
 
     def err(code: str, message: str, entity_id: str):
         findings.append(Finding(Severity.ERROR, code, message, entity_id=entity_id))
 
-    for label, ids in (
-        ("metric", [m.id for m in kb.metrics]),
-        ("element", [e.id for e in kb.elements]),
-        ("condition", [c.id for c in kb.conditions]),
-        ("rule", [r.id for r in kb.rules]),
-        ("profile", [p.name for p in kb.profiles]),
-    ):
-        seen: set[str] = set()
-        for entity_id in ids:
-            if entity_id in seen:
-                err("duplicate-id", f"duplicate {label} id '{entity_id}'", entity_id)
-            seen.add(entity_id)
-
-    metric_ids = {m.id for m in kb.metrics}
-    condition_ids = {c.id for c in kb.conditions}
-    kinds = {e.id: e.kind for e in kb.elements}
-
+    metrics, elements = kb._metric_index, kb._element_index
     for cond in kb.conditions:
         for term in cond.terms:
-            if isinstance(term, MetricPredicate) and term.metric not in metric_ids:
+            if isinstance(term, MetricPredicate) and term.metric not in metrics:
                 err("dangling-metric",
                     f"condition {cond.id} references unknown metric '{term.metric}'",
                     cond.id)
 
     relations: set[tuple[str, str, str | None]] = set()
     for rule in kb.rules:
-        if rule.metric not in metric_ids:
+        if rule.metric not in metrics:
             err("dangling-metric",
                 f"rule {rule.id} references unknown metric '{rule.metric}'", rule.id)
-        if rule.element not in kinds:
+        element = elements.get(rule.element)
+        if element is None:
             err("dangling-element",
                 f"rule {rule.id} references unknown element '{rule.element}'", rule.id)
-        elif kinds[rule.element] not in MATRIX_KINDS:
+        elif element.kind not in MATRIX_KINDS:
             findings.append(Finding(
                 Severity.WARNING, "rule-target-kind",
-                f"rule {rule.id} targets {kinds[rule.element].value} "
+                f"rule {rule.id} targets {element.kind.value} "
                 f"'{rule.element}', which is outside the impact matrix",
                 entity_id=rule.id))
-        if rule.condition is not None and rule.condition not in condition_ids:
+        if rule.condition is not None and rule.condition not in kb._condition_index:
             err("dangling-condition",
                 f"rule {rule.id} references unknown condition '{rule.condition}'", rule.id)
         relation = (rule.metric, rule.element, rule.condition)
@@ -163,7 +150,7 @@ def _integrity_findings(kb: KnowledgeBase) -> list[Finding]:
 
     for profile in kb.profiles:
         for metric_id in profile.values:
-            if metric_id not in metric_ids:
+            if metric_id not in metrics:
                 err("dangling-metric",
                     f"profile '{profile.name}' references unknown metric '{metric_id}'",
                     profile.name)
@@ -171,13 +158,40 @@ def _integrity_findings(kb: KnowledgeBase) -> list[Finding]:
     return findings
 
 
+def _count_findings(kb: KnowledgeBase) -> Iterable[Finding]:
+    """manifest-mismatch findings: declared counts the KB does not have."""
+    practices = [e for e in kb.elements if e.kind is ElementKind.PRACTICE]
+    actual = {
+        "metrics": len(kb.metrics),
+        "practices": len(practices),
+        "roles": sum(1 for e in kb.elements if e.kind is ElementKind.ROLE),
+        "practice_categories": len({p.category for p in practices}),
+    }
+    for name, found in actual.items():
+        expected = getattr(kb.manifest, name)
+        if found != expected:
+            yield Finding(
+                Severity.ERROR, "manifest-mismatch",
+                f"manifest declares {expected} {name}, found {found}",
+                entity_id=name)
+
+
+#: (field, label, id attribute) of each entity tuple; __post_init__ builds the
+#: index _<label>_index, id -> entity, for each.
+_INDEXED = (("metrics", "metric", "id"), ("elements", "element", "id"),
+            ("conditions", "condition", "id"), ("rules", "rule", "id"),
+            ("profiles", "profile", "name"))
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Immutable, fully resolved knowledge base.
 
-    Construction is the one place uniqueness and referential integrity are
-    checked. Any error raises KnowledgeBaseError (a ValueError) whose report
-    holds every finding; a valid KB keeps the warnings for load() to report.
+    Construction is the one validity gate. One pass over each entity tuple
+    builds its id index and finds duplicate ids; the reference checks read
+    those indexes; a manifest's counts are then checked against the entities.
+    Any error raises KnowledgeBaseError (a ValueError) whose report holds
+    every finding; a valid KB keeps the warnings for load() to report.
     """
 
     metrics: tuple[CulturalMetric, ...] = ()
@@ -188,32 +202,26 @@ class KnowledgeBase:
     profiles: tuple[CulturalProfile, ...] = ()
 
     def __post_init__(self):
-        for name in ("metrics", "elements", "conditions", "rules", "profiles"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        report = ValidationReport(tuple(_integrity_findings(self)))
+        findings: list[Finding] = []
+        for name, label, key in _INDEXED:
+            entities = tuple(getattr(self, name))
+            index = {}
+            for entity in entities:
+                entity_id = getattr(entity, key)
+                if entity_id in index:
+                    findings.append(Finding(
+                        Severity.ERROR, "duplicate-id",
+                        f"duplicate {label} id '{entity_id}'", entity_id=entity_id))
+                index[entity_id] = entity
+            object.__setattr__(self, name, entities)
+            object.__setattr__(self, f"_{label}_index", index)
+        findings.extend(_reference_findings(self))
+        if self.manifest is not None:
+            findings.extend(_count_findings(self))
+        report = ValidationReport(tuple(findings))
         if report.has_errors:
             raise KnowledgeBaseError(report)
         object.__setattr__(self, "_warnings", report.findings)
-
-    @cached_property
-    def _metric_index(self) -> dict[str, CulturalMetric]:
-        return {m.id: m for m in self.metrics}
-
-    @cached_property
-    def _element_index(self) -> dict[str, AgileElement]:
-        return {e.id: e for e in self.elements}
-
-    @cached_property
-    def _condition_index(self) -> dict[str, ImpactCondition]:
-        return {c.id: c for c in self.conditions}
-
-    @cached_property
-    def _rule_index(self) -> dict[str, ImpactRule]:
-        return {r.id: r for r in self.rules}
-
-    @cached_property
-    def _profile_index(self) -> dict[str, CulturalProfile]:
-        return {p.name: p for p in self.profiles}
 
     @cached_property
     def _rules_by_element(self) -> dict[str, tuple[ImpactRule, ...]]:
@@ -265,16 +273,16 @@ class KnowledgeBase:
 
 
 def validate_completeness(kb: KnowledgeBase) -> ValidationReport:
-    """Manifest-gated completeness check.
+    """Manifest-gated coverage check.
 
-    With a manifest present, verifies the declared counts exactly and
-    reports every uncovered (metric, matrix-eligible element) cell as a
-    Warning; a partial rule set is legal. Without a manifest the report
-    is empty.
+    With a manifest present, reports every uncovered (metric,
+    matrix-eligible element) cell as a Warning; a partial rule set is legal.
+    Without a manifest the report is empty. The declared counts need no
+    check here: construction already enforced them.
     """
     if kb.manifest is None:
         return ValidationReport(())
-    findings = list(_count_findings(kb.manifest, kb.metrics, kb.elements))
+    findings = []
     covered = {(r.metric, r.element) for r in kb.rules}
     for metric in kb.metrics:
         for element in kb.rule_eligible_elements:
@@ -284,31 +292,6 @@ def validate_completeness(kb: KnowledgeBase) -> ValidationReport:
                     f"no rule covers ({metric.id}, {element.id})",
                     entity_id=f"{metric.id}:{element.id}"))
     return ValidationReport(tuple(findings))
-
-
-def _count_findings(
-    manifest: ExpectedCounts,
-    metrics: Sequence[CulturalMetric],
-    elements: Sequence[AgileElement],
-) -> Iterable[Finding]:
-    practices = [e for e in elements if e.kind is ElementKind.PRACTICE]
-    actual = {
-        "metrics": len(metrics),
-        "practices": len(practices),
-        "roles": sum(1 for e in elements if e.kind is ElementKind.ROLE),
-        "practice_categories": len({p.category for p in practices}),
-    }
-    for name, expected in (
-        ("metrics", manifest.metrics),
-        ("practices", manifest.practices),
-        ("roles", manifest.roles),
-        ("practice_categories", manifest.practice_categories),
-    ):
-        if actual[name] != expected:
-            yield Finding(
-                Severity.ERROR, "manifest-mismatch",
-                f"manifest declares {expected} {name}, found {actual[name]}",
-                entity_id=name)
 
 
 @dataclass(frozen=True)
@@ -608,10 +591,7 @@ def load(paths: Iterable[str | Path]) -> LoadResult:
         integrity = kb._warnings
     except KnowledgeBaseError as exc:
         kb, integrity = None, exc.report.findings
-    findings = [*out.findings, *integrity]
-    if out.manifest is not None:
-        findings.extend(_count_findings(out.manifest, out.metrics, out.elements))
-    report = ValidationReport(tuple(findings))
+    report = ValidationReport((*out.findings, *integrity))
     return LoadResult(None if report.has_errors else kb, report)
 
 

@@ -68,15 +68,11 @@ SOURCE_LEVELS = {
 
 
 class Level(Enum):
-    """Discretized metric value. Ordered LOW < MEDIUM < HIGH."""
+    """Discretized metric value: LOW, MEDIUM or HIGH (see level_of)."""
 
     LOW = "low"
     MEDIUM = "medium"
     HIGH = "high"
-
-    @property
-    def rank(self) -> int:
-        return ("low", "medium", "high").index(self.value)
 
 
 class ElementKind(Enum):

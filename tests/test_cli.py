@@ -1,5 +1,7 @@
 import contextlib
 import csv
+import dataclasses
+import enum
 import errno
 import io
 import json
@@ -14,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import moca
-from moca import kb as kb_mod
-from moca.cli import main
+from moca import engine, kb as kb_mod
+from moca.cli import _cell_token, _matrix_csv, main
 from moca.kb import seed_dir
 
+from strategies import knowledge_bases
 from util import write_kb
 
 
@@ -411,6 +414,20 @@ class TestMatrix:
         assert code == 2
         assert "invalid choice" in err
 
+    @settings(max_examples=100, deadline=None)
+    @given(kb=knowledge_bases())
+    def test_csv_needs_no_quoting(self, kb):
+        """The joined rows equal the csv module's rendering of the same rows."""
+        matrix = engine.export_matrix(kb)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["metric", *matrix.elements])
+        for metric_id in matrix.metrics:
+            writer.writerow([metric_id, *(
+                ";".join(_cell_token(e) for e in matrix.cells.get((metric_id, element), ()))
+                for element in matrix.elements)])
+        assert _matrix_csv(matrix) == buffer.getvalue()
+
 
 class TestDiff:
     def test_flag_toggle(self, run):
@@ -663,3 +680,127 @@ def test_corrupt_kb_file_never_crashes_the_cli(tmp_path, name, command, json_for
     if code != 0:
         # validate reports its findings on stdout; the other commands on stderr.
         assert out if command[0] == "validate" else err
+
+
+
+
+#: Per KB: its directory, profiles, some elements and some rules.
+_ARGV_KBS = {
+    "seed": (seed_dir(), ("strong_hierarchy", "flat_hierarchy", "mid_band"),
+             ("daily_meeting", "planning_meeting", "scrum_master"), ("H4", "H6")),
+    "synthetic": (Path(__file__).parent / "golden" / "synthetic_kb",
+                  ("partial_team", "full_team"),
+                  ("daily_standup", "product_backlog", "scrum_master"), ("S1", "S3")),
+}
+#: Each --thresholds value and the pair it means; None marks a malformed one.
+_THRESHOLDS = {"33,67": (33, 67), "10,90": (10, 90), "49,51": (49, 51),
+               " 20 , 80 ": (20, 80), "67,33": None, "0,50": None, "50,100": None,
+               "50": None, "a,b": None, "-1,50": None}
+_FLAGS = ("manager_attends_meeting", "remote_team", "no_such_flag")
+_SCENARIO_OPTIONS = ["--profile", "--flag", "--element", "--thresholds"]
+_OWN_OPTIONS = {"evaluate": _SCENARIO_OPTIONS,
+                "diff": _SCENARIO_OPTIONS + ["--profile-a", "--profile-b", "--flag-a",
+                                             "--flag-b", "--all"]}
+
+
+@st.composite
+def _argv_cases(draw):
+    """(KB name, command, positionals, options, well-formed). A well-formed
+    case uses only the command's own options with known names and valid
+    values; any other case draws from the whole vocabulary, with unknown
+    names, malformed values and options the command does not take. A None
+    value marks an option that takes none."""
+    kb_name = draw(st.sampled_from(sorted(_ARGV_KBS)))
+    _, profiles, elements, rules = _ARGV_KBS[kb_name]
+    command = draw(st.sampled_from(("validate", "evaluate", "explain", "matrix", "diff")))
+    values = {"--profile": profiles, "--profile-a": profiles, "--profile-b": profiles,
+              "--flag": _FLAGS, "--flag-a": _FLAGS, "--flag-b": _FLAGS,
+              "--element": elements, "--all": (None,),
+              "--thresholds": tuple(t for t in _THRESHOLDS if _THRESHOLDS[t])}
+    well_formed = draw(st.booleans())
+    if well_formed:
+        names = _OWN_OPTIONS.get(command, [])
+    else:
+        rules += ("Z9",)
+        values.update({"--profile": profiles + ("nobody", ""),
+                       "--element": elements + ("ghost",),
+                       "--thresholds": tuple(_THRESHOLDS), "--bogus": (None,)})
+        names = sorted(values)
+    drawn = draw(st.lists(st.sampled_from(names), max_size=5)) if names else []
+    options = [(name, draw(st.sampled_from(values[name]))) for name in drawn]
+    if command in _OWN_OPTIONS:
+        options.insert(0, ("--profile", draw(st.sampled_from(values["--profile"]))))
+    positionals = [draw(st.sampled_from(rules))] if command == "explain" else []
+    return kb_name, command, positionals, options, well_formed
+
+def _plain(value):
+    """A library result as the JSON renderers spell it: enums by value,
+    tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _library_payload(kb, command, options):
+    """What evaluate or diff returns through the library for the same options:
+    a stored option keeps its last value, an appended one every value."""
+    def every(*names):
+        return [value for option, value in options if option in names]
+
+    def last(name):
+        return (every(name) or [None])[-1]
+
+    thresholds = _THRESHOLDS[last("--thresholds") or "33,67"]
+    elements = tuple(every("--element")) or None
+
+    def context(profile, *flag_options):
+        return engine.EvaluationContext(kb.profile(profile), every(*flag_options),
+                                        thresholds, elements)
+
+    if command == "evaluate":
+        return _plain(engine.evaluate(kb, context(last("--profile"), "--flag")))
+    diffs = engine.diff(kb,
+                        context(last("--profile-a") or last("--profile"), "--flag", "--flag-a"),
+                        context(last("--profile-b") or last("--profile"), "--flag", "--flag-b"))
+    if not every("--all"):
+        diffs = tuple(d for d in diffs if d.delta != 0 or d.rules_changed)
+    return _plain(diffs)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argv_cases(), json_format=st.booleans(),
+       out=st.sampled_from((None, "", "out.txt")))
+def test_any_argv_ends_in_an_exit_code(tmp_path, case, json_format, out):
+    """Options drawn from a fixed vocabulary end in exit 0, 1 or 2 without a
+    traceback; a well-formed case exits 0, and an exit-0 JSON evaluate or diff
+    prints the library's result."""
+    kb_name, command, positionals, options, well_formed = case
+    kb_dir = _ARGV_KBS[kb_name][0]
+    formats = ("csv", "json") if command == "matrix" else ("text", "json")
+    argv = [command, *positionals, "--kb", str(kb_dir), "--format", formats[json_format]]
+    argv += [name if value is None else f"{name}={value}" for name, value in options]
+    out_path = tmp_path / "out.txt"
+    out_path.unlink(missing_ok=True)
+    if out is not None:
+        argv.append(f"--out={out and out_path}")
+    code, stdout, stderr = run_strict(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr
+    if any(name == "--thresholds" and _THRESHOLDS[value] is None
+           for name, value in options):
+        assert code == 2
+    if code != 0:
+        assert not well_formed
+        assert stderr
+        return
+    if out:
+        assert stdout == ""
+        stdout = out_path.read_text(encoding="utf-8")
+    if json_format and command in _OWN_OPTIONS:
+        kb = kb_mod.load_kb(kb_mod.expand_kb_path(kb_dir))
+        assert json.loads(stdout) == _library_payload(kb, command, options)

@@ -368,7 +368,8 @@ class TestProperties:
             change = high_fired.get(rule.id, 0) - low_fired.get(rule.id, 0)
             assert change * normalize(rule).polarity >= 0
         from moca.model import level_of
-        if abs(level_of(v2).rank - level_of(v1).rank) <= 1:
+        order = [Level.LOW, Level.MEDIUM, Level.HIGH]
+        if abs(order.index(level_of(v2)) - order.index(level_of(v1))) <= 1:
             score_change = sum(high_fired.values()) - sum(low_fired.values())
             assert abs(score_change) <= n_rules
 

@@ -76,13 +76,13 @@ class TestSeedKb:
     def test_duplicate_paths_are_deduplicated(self, seed_paths):
         assert load_kb(list(seed_paths) + list(seed_paths)) == load_kb(seed_paths)
 
-    def test_lookup_errors(self, seed_kb):
-        with pytest.raises(UnknownEntityError):
-            seed_kb.metric("XYZ")
-        with pytest.raises(UnknownEntityError):
-            seed_kb.element("nonexistent")
-        with pytest.raises(UnknownEntityError):
-            seed_kb.rule("Z9")
+    @pytest.mark.parametrize("kind, missing", [
+        ("metric", "XYZ"), ("element", "nonexistent"), ("condition", "IC9"),
+        ("rule", "Z9"), ("profile", "nobody")])
+    def test_lookup_errors(self, seed_kb, kind, missing):
+        with pytest.raises(UnknownEntityError) as raised:
+            getattr(seed_kb, kind)(missing)
+        assert (raised.value.kind, raised.value.entity_id) == (kind, missing)
 
 
 class TestLoadFailures:
@@ -271,17 +271,6 @@ class TestCompleteness:
         assert {f.entity_id for f in mismatches} == {
             "metrics", "practices", "roles", "practice_categories"}
 
-    def test_manifest_mismatch_direct(self):
-        kb = KnowledgeBase(
-            metrics=(CulturalMetric("PDI", "Power Distance", CultureLevel.NATIONAL,
-                                    "a", "b", MetricSource.HOFSTEDE),),
-            elements=(AgileElement("daily_meeting", "Daily", ElementKind.PRACTICE,
-                                   category="c"),),
-            manifest=ExpectedCounts(metrics=2, practices=1, roles=0,
-                                    practice_categories=1))
-        report = validate_completeness(kb)
-        assert [f.entity_id for f in report.errors] == ["metrics"]
-
     def test_matching_manifest_is_quiet_on_counts(self, tmp_path):
         manifest = {"metrics": 2, "practices": 1, "roles": 1,
                     "practice_categories": 1}
@@ -318,6 +307,19 @@ class TestDirectConstruction:
         with pytest.raises(ValueError) as raised:
             KnowledgeBase(metrics=(metric, metric))
         assert codes(raised.value.report) == ["duplicate-id"]
+
+    def test_manifest_mismatch_raises(self):
+        with pytest.raises(KnowledgeBaseError) as raised:
+            KnowledgeBase(
+                metrics=(CulturalMetric("PDI", "Power Distance", CultureLevel.NATIONAL,
+                                        "a", "b", MetricSource.HOFSTEDE),),
+                elements=(AgileElement("daily_meeting", "Daily", ElementKind.PRACTICE,
+                                       category="c"),),
+                manifest=ExpectedCounts(metrics=2, practices=1, roles=0,
+                                        practice_categories=1))
+        report = raised.value.report
+        assert codes(report) == ["manifest-mismatch"]
+        assert [f.entity_id for f in report.errors] == ["metrics"]
 
 
 class TestProfilesFile:

@@ -59,7 +59,9 @@ class TestLevelOf:
         high = min(low + gap, 98)
         if v1 > v2:
             v1, v2 = v2, v1
-        assert level_of(v1, (low, high)).rank <= level_of(v2, (low, high)).rank
+        order = [Level.LOW, Level.MEDIUM, Level.HIGH]
+        assert (order.index(level_of(v1, (low, high)))
+                <= order.index(level_of(v2, (low, high))))
 
     def test_check_thresholds_returns_pair(self):
         assert check_thresholds([49, 51]) == (49, 51)
