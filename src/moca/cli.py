@@ -9,11 +9,12 @@ any input file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
 import sys
-import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -96,6 +97,7 @@ def _emit(args: argparse.Namespace, text: str):
         umask = os.umask(0o022)
         os.umask(umask)
         mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else 0o666 & ~umask
+        import tempfile  # only here: it imports random, shutil, bz2 and lzma
         fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
         try:
             with open(fd, "w", encoding="utf-8") as handle:
@@ -108,8 +110,59 @@ def _emit(args: argparse.Namespace, text: str):
         raise CliError(f"cannot write '{args.out}': {exc}") from None
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(depth: int):
+    """json's C encoder for the members of a container opened at `depth`: made
+    once, where `JSONEncoder.encode` makes one per call."""
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
+        ": ", ",\n" + "  " * (depth + 1), False, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """`json.dumps(payload, indent=2, ensure_ascii=False)` and a newline, byte
+    for byte. json runs its C encoder only without an indent, so the layout
+    goes in the item separator. A container is encoded with its non-empty
+    containers swapped for 0, split at the separator and the 0s filled in; a
+    list of objects is encoded a level down, then split at "}" + separator +
+    "{". This is safe because the separator starts with a newline, and json
+    escapes it inside a string: it only ever occurs between two members."""
+    return _render(payload, 0) + "\n"
+
+
+def _render(value, depth: int) -> str:
+    if not (isinstance(value, _CONTAINERS) and value):
+        return _encoder(depth)(value)
+    inner, outer, is_dict = "  " * (depth + 1), "  " * depth, isinstance(value, dict)
+    run = not is_dict and all(isinstance(v, dict) and v for v in value)
+    level = depth + run  # one call lays out the fields of a run of objects
+    members = list(chain.from_iterable(map(dict.values, value)) if run
+                   else value.values() if is_dict else value)
+    nested = {} if _SCALARS.issuperset(map(type, members)) else {
+        i: v for i, v in enumerate(members) if isinstance(v, _CONTAINERS) and v}
+    cut = 1 + run  # the brackets, and a run's first "{" and last "}"
+    if not nested:
+        body = _encoder(level)(value)[cut:-cut]
+    else:
+        flat = iter([0 if i in nested else v for i, v in enumerate(members)])
+        skeleton = ([dict(zip(v, flat)) for v in value] if run
+                    else dict(zip(value, flat)) if is_dict else list(flat))
+        separator = ",\n" + "  " * (level + 1)
+        parts = _encoder(level)(skeleton)[cut:-cut].split(separator)
+        for i, member in nested.items():  # only a run's "}" can follow a 0
+            head, _, tail = parts[i].rpartition("0")
+            parts[i] = head + _render(member, level + 1) + tail
+        body = separator.join(parts)
+        del parts  # a large member's text is not held twice
+    if run:
+        body = body.replace(f"}},\n{inner}  {{", f"\n{inner}}},\n{inner}{{\n{inner}  ")
+        return f"[\n{inner}{{\n{inner}  {body}\n{inner}}}\n{outer}]"
+    return f"{'{' if is_dict else '['}\n{inner}{body}\n{outer}{'}' if is_dict else ']'}"
 
 
 def _where(finding: Finding) -> str:

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import moca
 from moca import engine, kb as kb_mod
-from moca.cli import _cell_token, _matrix_csv, main
+from moca.cli import _cell_token, _json_text, _matrix_csv, main
 from moca.kb import seed_dir
 
 from strategies import knowledge_bases
@@ -804,3 +804,86 @@ def test_any_argv_ends_in_an_exit_code(tmp_path, case, json_format, out):
     if json_format and command in _OWN_OPTIONS:
         kb = kb_mod.load_kb(kb_mod.expand_kb_path(kb_dir))
         assert json.loads(stdout) == _library_payload(kb, command, options)
+
+
+# --- JSON rendering -----------------------------------------------------------
+
+def _dumps(value):
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+_json_strings = st.text(st.sampled_from('ab"\\\n\x1e\x00\u2028é中{}[],: 0') | st.characters(),
+                        max_size=8)
+_json_scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+                 | _json_strings)
+_json_flat = _json_scalars | st.just([]) | st.just({})
+_flat_objects = st.dictionaries(_json_strings, _json_flat, min_size=1, max_size=4)
+_json_values = st.recursive(
+    _json_flat,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_json_strings, children, max_size=4)
+                      | st.lists(_flat_objects, min_size=1, max_size=4)
+                      | st.lists(st.dictionaries(_json_strings, children, min_size=1, max_size=3),
+                                 min_size=1, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values)
+def test_json_text_is_json_dumps_byte_for_byte(value):
+    assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {"findings": [{"message": "a},\n      {b", "line": 1}, {"message": "}, {", "line": None}]},
+    {"findings": [{"message": r"a},\n      {b"}, {"message": "}, {"}, {"message": "0"}]},
+    [{"m": "},\n    {"}, {"m": "}, {", "n": [0, "}, {"]}, {"o": {"p": "},\n      {"}}],
+    [[{"m": "},\n      {"}], [{"m": "x"}, {"n": "},\n        {"}]],
+    {"a": [], "b": {}, "c": [{}], "d": [{"e": []}, {"f": {}}], "g": [[], {}, [[]]]},
+    {1: [0], 2.5: {"x": [0]}, None: [{"0": 0}], True: "0"},
+])
+def test_json_text_on_separator_lookalikes_and_placeholders(value):
+    assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    object(), {1, 2}, {"a": {1}}, [{"a": object()}], [[], {"a": [object()]}],
+    {("k",): 1}, {"a": {("k",): [1]}}, [{"a": 1}, {"b": frozenset()}],
+])
+def test_json_text_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(monkeypatch, run):
+    """One call encodes every finding, not one call each: a renderer that fell
+    back to a call per object would still pass every golden."""
+    calls = []
+    encoder = moca.cli._encoder
+
+    def counting(depth):
+        encode = encoder(depth)
+
+        def counted(value):
+            calls.append(depth)
+            return encode(value)
+        return counted
+
+    monkeypatch.setattr(moca.cli, "_encoder", counting)
+    code, out, _ = run("validate", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["findings"]) == 381
+    assert 0 < len(calls) <= 10
+
+
+def test_importing_the_cli_leaves_tempfile_unloaded():
+    """Only a regular --out file needs tempfile, so only that branch imports
+    it. -S keeps out site hooks, some of which import tempfile themselves."""
+    env = {**os.environ, "PYTHONPATH": str(Path(moca.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", "import moca.cli, sys; assert 'tempfile' not in sys.modules"],
+        env=env, timeout=60)
+    assert child.returncode == 0
