@@ -33,6 +33,7 @@ from .model import (
     MocaError,
     UnknownEntityError,
     check_thresholds,
+    _gc_paused,
 )
 
 EXIT_OK = 0
@@ -385,19 +386,19 @@ def _matrix_csv(matrix: engine.MatrixExport) -> str:
 
 
 def _matrix_json(matrix: engine.MatrixExport) -> dict:
-    cells: dict[str, dict[str, list]] = {}
-    for metric_id in matrix.metrics:
-        cells[metric_id] = {}
-        for element_id in matrix.elements:
-            cells[metric_id][element_id] = [
-                {
-                    "rule_id": entry.rule_id,
-                    "stated_level": entry.stated_level.value,
-                    "sign": entry.sign.value,
-                    "condition": entry.condition,
-                }
-                for entry in matrix.cells.get((metric_id, element_id), ())
-            ]
+    # An uncovered cell shares one empty tuple, which renders as [].
+    cells: dict[str, dict[str, list | tuple]] = {
+        metric_id: dict.fromkeys(matrix.elements, ()) for metric_id in matrix.metrics}
+    for (metric_id, element_id), entries in matrix.cells.items():
+        cells[metric_id][element_id] = [
+            {
+                "rule_id": entry.rule_id,
+                "stated_level": entry.stated_level.value,
+                "sign": entry.sign.value,
+                "condition": entry.condition,
+            }
+            for entry in entries
+        ]
     return {"metrics": list(matrix.metrics),
             "elements": list(matrix.elements),
             "cells": cells}
@@ -595,6 +596,7 @@ def _print_error(exc: Exception):
         pass
 
 
+@_gc_paused
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command: the one place that writes its output and turns errors
     into exit codes."""

@@ -21,6 +21,10 @@ indeterminate, dormant, gated, and fired x (+1/-1) x (LOW/HIGH) x
 (SATISFIED/NOT_APPLICABLE). ``evaluate`` and ``diff`` share that pass per
 element; ``diff`` compares the two scenarios' outcomes by identity and
 builds no assessments, so it costs no more than one evaluation.
+
+``evaluate``, ``diff`` and ``export_matrix`` pause Python's cyclic garbage
+collector while they run and then restore its previous state: their results
+hold no reference cycles, so reference counting frees them.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .model import (
     check_thresholds,
     level_of,
     level_sign,
+    _gc_paused,
     # Not called here. bench/run.py counts the calls made through
     # moca.engine.level_of and moca.engine.normalize, so both stay importable.
     normalize,  # noqa: F401
@@ -285,6 +290,7 @@ def _selected_elements(kb: KnowledgeBase,
     return tuple(sorted(set(selection)))
 
 
+@_gc_paused
 def evaluate(kb: KnowledgeBase, ctx: EvaluationContext) -> tuple[Assessment, ...]:
     """Assess the context's element selection (default: every matrix-eligible
     element), in element-id order."""
@@ -293,6 +299,7 @@ def evaluate(kb: KnowledgeBase, ctx: EvaluationContext) -> tuple[Assessment, ...
                  for element_id in _selected_elements(kb, ctx.elements))
 
 
+@_gc_paused
 def diff(kb: KnowledgeBase, ctx_a: EvaluationContext,
          ctx_b: EvaluationContext) -> tuple[ElementDiff, ...]:
     """Compare two scenarios element by element.
@@ -317,6 +324,7 @@ def diff(kb: KnowledgeBase, ctx_a: EvaluationContext,
     return tuple(diffs)
 
 
+@_gc_paused
 def export_matrix(kb: KnowledgeBase) -> MatrixExport:
     """Lay every rule into its (metric, element) cell of the full grid.
 

@@ -12,6 +12,10 @@ Constructing a KnowledgeBase is the one validity gate: unique ids,
 references across the whole file set and a manifest's declared counts are
 checked there, and a file set with any error-severity finding never
 produces a knowledge base. validate_completeness adds coverage warnings.
+
+load and validate_completeness pause Python's cyclic garbage collector while
+they run and then restore its previous state: the rules and findings they
+build hold no reference cycles, so reference counting frees them.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .model import (
     MetricSource,
     MocaError,
     UnknownEntityError,
+    _gc_paused,
 )
 
 
@@ -272,6 +277,7 @@ class KnowledgeBase:
         return self._rules_by_element.get(element_id, ())
 
 
+@_gc_paused
 def validate_completeness(kb: KnowledgeBase) -> ValidationReport:
     """Manifest-gated coverage check.
 
@@ -568,6 +574,7 @@ def _read_file(path: Path, reader: Callable[[Path, str, _Collector], None],
     out.error("io-error", f"cannot read '{name}': {reason}", entity_id=name, path=name)
 
 
+@_gc_paused
 def load(paths: Iterable[str | Path]) -> LoadResult:
     """Load a knowledge base from data and rule files.
 

@@ -15,6 +15,8 @@ derived rather than written down twice.
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +29,23 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 #: Default level thresholds (t_low, t_high): value <= t_low is LOW,
 #: value >= t_high is HIGH, anything between is MEDIUM.
 DEFAULT_THRESHOLDS = (33, 67)
+
+
+def _gc_paused(func):
+    """Run func with Python's cyclic garbage collector paused, then restore
+    the collector's previous state. moca's results are large and hold no
+    reference cycles, so reference counting frees them; pausing only spares
+    the collector's repeated walks over them while they are built."""
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 class MocaError(Exception):
@@ -248,12 +267,14 @@ class ImpactRule:
     rationale: str = ""
 
     def __post_init__(self):
-        for label, value in (("rule id", self.id), ("metric", self.metric),
-                             ("element", self.element)):
-            if not IDENT_RE.match(value):
-                raise ValueError(f"{label} must be an identifier, got {value!r}")
-        if self.condition is not None and not IDENT_RE.match(self.condition):
-            raise ValueError(f"condition reference must be an identifier, got {self.condition!r}")
+        match = IDENT_RE.match
+        if not (match(self.id) and match(self.metric) and match(self.element)
+                and (self.condition is None or match(self.condition))):
+            for label, value in (("rule id", self.id), ("metric", self.metric),
+                                 ("element", self.element),
+                                 ("condition reference", self.condition)):
+                if value is not None and not match(value):
+                    raise ValueError(f"{label} must be an identifier, got {value!r}")
         if self.stated_level is Level.MEDIUM:
             raise ValueError(f"rule {self.id}: stated level must be LOW or HIGH")
         aligned = (self.stated_level is Level.HIGH) == (self.sign is ImpactSign.POSITIVE)

@@ -181,5 +181,24 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             _rule(Level.MEDIUM, ImpactSign.POSITIVE)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"rule_id": "1R"}, "rule id must be an identifier, got '1R'"),
+        ({"metric": "P-DI"}, "metric must be an identifier, got 'P-DI'"),
+        ({"element": "daily meeting"},
+         "element must be an identifier, got 'daily meeting'"),
+        ({"condition": ""}, "condition reference must be an identifier, got ''"),
+        ({"stated": Level.MEDIUM}, "rule R: stated level must be LOW or HIGH"),
+        # the first bad field, in declaration order, is the one reported
+        ({"metric": "_", "element": "-", "condition": "?"},
+         "metric must be an identifier, got '_'"),
+        ({"element": "x\n", "condition": "?", "stated": Level.MEDIUM},
+         "element must be an identifier, got 'x\\n'"),
+    ])
+    def test_rule_error_messages(self, fields, message):
+        args = {"stated": Level.HIGH, "sign": ImpactSign.POSITIVE, **fields}
+        with pytest.raises(ValueError) as info:
+            _rule(**args)
+        assert str(info.value) == message
+
     def test_default_thresholds(self):
         assert DEFAULT_THRESHOLDS == (33, 67)
