@@ -18,7 +18,7 @@ import pytest
 from moca import cli, engine, kb as kb_mod
 from moca.engine import EvaluationContext
 from moca.kb import KnowledgeBaseError
-from moca.model import UnknownEntityError
+from moca.model import ContextFlag, UnknownEntityError
 
 from test_golden import BROKEN_KB, CASES, SYNTHETIC_KB
 
@@ -54,7 +54,7 @@ def _quiet_main(argv) -> int:
 def _contexts(kb):
     """Two scenarios that differ in profile and flags."""
     flags = frozenset(term.flag for condition in kb.conditions
-                      for term in condition.terms if hasattr(term, "flag"))
+                      for term in condition.terms if isinstance(term, ContextFlag))
     first, last = kb.profiles[0], kb.profiles[-1]
     return EvaluationContext(first), EvaluationContext(last, flags)
 
