@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import gc
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -31,20 +32,34 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 DEFAULT_THRESHOLDS = (33, 67)
 
 
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_resume_collector = False
+
+
 def _gc_paused(func):
     """Run func with Python's cyclic garbage collector paused, then restore
     the collector's previous state. moca's results are large and hold no
     reference cycles, so reference counting frees them; pausing only spares
-    the collector's repeated walks over them while they are built."""
+    the collector's repeated walks over them while they are built.
+
+    The pause is shared by all threads: the first paused call in records
+    the collector's state and disables it, the last one out restores it."""
     @functools.wraps(func)
     def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
+        global _pause_depth, _resume_collector
+        with _pause_lock:
+            if _pause_depth == 0:
+                _resume_collector = gc.isenabled()
+                gc.disable()
+            _pause_depth += 1
         try:
             return func(*args, **kwargs)
         finally:
-            if enabled:
-                gc.enable()
+            with _pause_lock:
+                _pause_depth -= 1
+                if _pause_depth == 0 and _resume_collector:
+                    gc.enable()
     return paused
 
 
@@ -267,14 +282,12 @@ class ImpactRule:
     rationale: str = ""
 
     def __post_init__(self):
-        match = IDENT_RE.match
-        if not (match(self.id) and match(self.metric) and match(self.element)
-                and (self.condition is None or match(self.condition))):
-            for label, value in (("rule id", self.id), ("metric", self.metric),
-                                 ("element", self.element),
-                                 ("condition reference", self.condition)):
-                if value is not None and not match(value):
-                    raise ValueError(f"{label} must be an identifier, got {value!r}")
+        for label, value in (("rule id", self.id), ("metric", self.metric),
+                             ("element", self.element)):
+            if not IDENT_RE.match(value):
+                raise ValueError(f"{label} must be an identifier, got {value!r}")
+        if self.condition is not None and not IDENT_RE.match(self.condition):
+            raise ValueError(f"condition reference must be an identifier, got {self.condition!r}")
         if self.stated_level is Level.MEDIUM:
             raise ValueError(f"rule {self.id}: stated level must be LOW or HIGH")
         aligned = (self.stated_level is Level.HIGH) == (self.sign is ImpactSign.POSITIVE)

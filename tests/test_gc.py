@@ -3,8 +3,8 @@
 That is safe only because its results hold no reference cycles, which
 reference counting alone frees: the first tests check this, in the library
 and through the CLI. The others check that each paused call restores the
-collector's previous state on every return path, and that no collection runs
-inside a paused call.
+collector's previous state on every return path, also when paused calls
+from two threads overlap, and that no collection runs inside a paused call.
 """
 
 import contextlib
@@ -12,13 +12,16 @@ import gc
 import inspect
 import io
 import sys
+import threading
+import types
 
 import pytest
 
 from moca import cli, engine, kb as kb_mod
 from moca.engine import EvaluationContext
 from moca.kb import KnowledgeBaseError
-from moca.model import ContextFlag, UnknownEntityError
+from moca import model
+from moca.model import ContextFlag, UnknownEntityError, _gc_paused
 
 from test_golden import BROKEN_KB, CASES, SYNTHETIC_KB
 
@@ -177,6 +180,73 @@ class TestCollectorStateRestored:
             assert gc.isenabled()
         assert inner == [False]
 
+
+
+def _in_thread(target, *args, name=None) -> threading.Thread:
+    thread = threading.Thread(target=target, args=args, name=name, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestOverlappingThreads:
+    """The pause is shared by all threads: the collector stays paused until
+    the last overlapping call returns, then takes back its earlier state."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("first_out", ["a", "b"])
+    def test_overlapping_calls(self, first_out, enabled):
+        inside = {name: threading.Event() for name in "ab"}
+        release = {name: threading.Event() for name in "ab"}
+        seen = []
+
+        @_gc_paused
+        def hold(name):
+            inside[name].set()
+            assert release[name].wait(10)
+            seen.append(gc.isenabled())
+
+        second_out = "b" if first_out == "a" else "a"
+        with collector(enabled):
+            threads = {}
+            for name in "ab":  # a enters first
+                threads[name] = _in_thread(hold, name)
+                assert inside[name].wait(10)
+            release[first_out].set()
+            threads[first_out].join(10)
+            assert not gc.isenabled()
+            release[second_out].set()
+            threads[second_out].join(10)
+            assert seen == [False, False]
+            assert gc.isenabled() is enabled
+
+    def test_call_entering_while_another_leaves(self, monkeypatch):
+        """Thread x enters while y's call holds the pause, and y leaves
+        before x could disable the collector: x must not leave it off."""
+        y_inside, y_release, y_out = (threading.Event() for _ in range(3))
+
+        def disable():
+            if threading.current_thread().name == "x":
+                y_out.wait(10)
+            gc.disable()
+
+        monkeypatch.setattr(model, "gc", types.SimpleNamespace(
+            isenabled=gc.isenabled, enable=gc.enable, disable=disable))
+
+        @_gc_paused
+        def hold():
+            y_inside.set()
+            assert y_release.wait(10)
+
+        with collector(enabled=True):
+            y = _in_thread(hold)
+            assert y_inside.wait(10)
+            x = _in_thread(_gc_paused(lambda: None), name="x")
+            x.join(0.5)  # x is done, or waits in its disable for y to leave
+            y_release.set()
+            y.join(10)
+            y_out.set()
+            x.join(10)
+            assert gc.isenabled()
 
 @pytest.mark.parametrize("name", CALL_NAMES)
 def test_no_collection_inside_a_paused_call(seed_kb, name):
