@@ -192,10 +192,11 @@ def _finding_json(finding: Finding) -> dict:
     }
 
 
-def _report_exit_code(report: ValidationReport) -> int:
-    if any(f.code in _INPUT_ERROR_CODES for f in report.errors):
+def _report_exit_code(errors: Sequence[Finding]) -> int:
+    """The exit code for a report's error findings."""
+    if any(f.code in _INPUT_ERROR_CODES for f in errors):
         return EXIT_USAGE
-    return EXIT_INVALID if report.has_errors else EXIT_OK
+    return EXIT_INVALID if errors else EXIT_OK
 
 
 def _require_kb(args: argparse.Namespace) -> KnowledgeBase:
@@ -205,7 +206,7 @@ def _require_kb(args: argparse.Namespace) -> KnowledgeBase:
         for finding in result.report.findings:
             print(_finding_line(finding), file=sys.stderr)
         raise CliError("knowledge base is not usable",
-                       _report_exit_code(result.report))
+                       _report_exit_code(result.report.errors))
     return result.kb
 
 
@@ -252,9 +253,10 @@ def cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
     report = result.report
     if result.kb is not None:
         report = report.merged(kb_mod.validate_completeness(result.kb))
+    errors = report.errors
     if args.format == "json":
-        return _report_exit_code(report), _json_text(_validate_json(result.kb, report))
-    return _report_exit_code(report), _validate_text(result.kb, report)
+        return _report_exit_code(errors), _json_text(_validate_json(result.kb, report, errors))
+    return _report_exit_code(errors), _validate_text(result.kb, report, errors)
 
 
 def _kb_summary(kb: KnowledgeBase) -> dict:
@@ -273,7 +275,8 @@ def _kb_summary(kb: KnowledgeBase) -> dict:
     }
 
 
-def _validate_text(kb: KnowledgeBase | None, report: ValidationReport) -> str:
+def _validate_text(kb: KnowledgeBase | None, report: ValidationReport,
+                   errors: Sequence[Finding]) -> str:
     lines = []
     if kb is not None:
         summary = _kb_summary(kb)
@@ -287,14 +290,15 @@ def _validate_text(kb: KnowledgeBase | None, report: ValidationReport) -> str:
         if kb.manifest is not None:
             lines.append("manifest: counts confirmed")
     lines.extend(_finding_line(f) for f in report.findings)
-    lines.append(f"result: {len(report.errors)} error(s), "
+    lines.append(f"result: {len(errors)} error(s), "
                  f"{len(report.warnings)} warning(s)")
     return "\n".join(lines) + "\n"
 
 
-def _validate_json(kb: KnowledgeBase | None, report: ValidationReport) -> dict:
+def _validate_json(kb: KnowledgeBase | None, report: ValidationReport,
+                   errors: Sequence[Finding]) -> dict:
     return {
-        "valid": not report.has_errors,
+        "valid": not errors,
         "summary": _kb_summary(kb) if kb is not None else None,
         "findings": [_finding_json(f) for f in report.findings],
     }
@@ -375,13 +379,11 @@ def _cell_token(entry: engine.MatrixEntry) -> str:
 def _matrix_csv(matrix: engine.MatrixExport) -> str:
     """CSV needing no quoting: ids and cell tokens are identifiers joined by
     ':', '@' and ';', which the model's constructors enforce."""
+    rows = {metric_id: dict.fromkeys(matrix.elements, "") for metric_id in matrix.metrics}
+    for (metric_id, element_id), entries in matrix.cells.items():
+        rows[metric_id][element_id] = ";".join(_cell_token(entry) for entry in entries)
     lines = [",".join(["metric", *matrix.elements])]
-    for metric_id in matrix.metrics:
-        row = [metric_id]
-        for element_id in matrix.elements:
-            entries = matrix.cells.get((metric_id, element_id), ())
-            row.append(";".join(_cell_token(entry) for entry in entries))
-        lines.append(",".join(row))
+    lines.extend(",".join([metric_id, *row.values()]) for metric_id, row in rows.items())
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,7 @@ whose absence fails the line with a positioned ``ParseError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .model import (
     ConditionTerm,
@@ -43,6 +43,7 @@ from .model import (
     Level,
     MetricPredicate,
     MocaError,
+    _record,
 )
 
 KEYWORDS = frozenset({
@@ -51,7 +52,7 @@ KEYWORDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
+@_record
 class Comment:
     """A standalone comment line, preserved for round-trip fidelity."""
 
@@ -61,7 +62,7 @@ class Comment:
 DocumentEntry = ImpactRule | ImpactCondition | Comment
 
 
-@dataclass(frozen=True)
+@_record
 class ParseError:
     """One positioned syntax error. line and column are 1-based."""
 
@@ -87,7 +88,7 @@ class RuleSyntaxError(MocaError):
         super().__init__(head + extra)
 
 
-@dataclass(frozen=True)
+@_record
 class RuleDocument:
     """Parsed rule file: declarations and comments in source order.
 

@@ -46,6 +46,7 @@ from .model import (
     level_of,
     level_sign,
     _gc_paused,
+    _record,
     # Not called here. bench/run.py counts the calls made through
     # moca.engine.level_of and moca.engine.normalize, so both stay importable.
     normalize,  # noqa: F401
@@ -78,7 +79,7 @@ def label_for(score: int) -> ImpactLabel:
     return ImpactLabel.STRONGLY_POSITIVE
 
 
-@dataclass(frozen=True)
+@_record
 class EvaluationContext:
     """One evaluation scenario: profile, context flags, thresholds, selection.
 
@@ -99,7 +100,7 @@ class EvaluationContext:
             object.__setattr__(self, "elements", tuple(self.elements))
 
 
-@dataclass(frozen=True)
+@_record
 class Contribution:
     """One fired rule: value = polarity x level sign, so always +1 or -1."""
 
@@ -109,7 +110,7 @@ class Contribution:
     condition_status: ConditionStatus
 
 
-@dataclass(frozen=True)
+@_record
 class Assessment:
     """Evaluation result for one element."""
 
@@ -121,7 +122,7 @@ class Assessment:
     gated_rules: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class ElementDiff:
     """Score movement for one element between two scenarios."""
 
@@ -132,7 +133,7 @@ class ElementDiff:
     rules_changed: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class MatrixEntry:
     rule_id: str
     stated_level: Level

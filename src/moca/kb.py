@@ -45,6 +45,7 @@ from .model import (
     MocaError,
     UnknownEntityError,
     _gc_paused,
+    _record,
 )
 
 
@@ -53,7 +54,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@_record
 class Finding:
     """One validation result; Error findings make a KB unusable."""
 
@@ -65,7 +66,7 @@ class Finding:
     line: int | None = None
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationReport:
     findings: tuple[Finding, ...] = ()
 
@@ -85,7 +86,7 @@ class ValidationReport:
         return ValidationReport(self.findings + other.findings)
 
 
-@dataclass(frozen=True)
+@_record
 class ExpectedCounts:
     """Declared sizes the loaded knowledge base must match exactly."""
 
@@ -300,7 +301,7 @@ def validate_completeness(kb: KnowledgeBase) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-@dataclass(frozen=True)
+@_record
 class LoadResult:
     """Outcome of load(): a usable KB, or None plus an explanatory report."""
 

@@ -11,6 +11,13 @@ metric helps or hurts one element, optionally gated by a precondition.
 Rules are authored in stated-level + sign form and normalized internally
 to a single polarity, so the inverse effect at the opposite level is
 derived rather than written down twice.
+
+The value types here and in ``kb``, ``engine`` and ``dsl`` are immutable
+slotted dataclasses built by ``_record``: assigning or deleting an attribute
+raises ``dataclasses.FrozenInstanceError``, and instances carry no
+``__dict__``. moca builds them by the tens of thousands (rules, findings,
+matrix entries), so their constructor stores fields through the slot
+descriptors rather than through the frozen class's ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import functools
 import gc
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -61,6 +68,45 @@ def _gc_paused(func):
                 if _pause_depth == 0 and _resume_collector:
                     gc.enable()
     return paused
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """dataclass(frozen=True, slots=True), with an __init__ that stores each
+    field through its slot descriptor instead of the frozen class's
+    object.__setattr__, then calls __post_init__ if the class has one.
+
+    The __init__ keeps the dataclass's own parameters, defaults and
+    annotations. A default_factory or a defaulted init=False field would need
+    code here to fill it, so either is refused. A slotted instance has no
+    other attribute, so assigning or deleting any name raises
+    FrozenInstanceError. The dataclass's own methods raise TypeError there on
+    CPython 3.11, since they test against the class as it was before slots
+    were added."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    if any(f.default_factory is not MISSING or not (f.init or f.default is MISSING)
+           for f in fields(cls)):
+        raise TypeError(f"{cls.__name__}: _record takes no default_factory "
+                        "and no init=False field with a default")
+    names = [f.name for f in fields(cls) if f.init]
+    setters = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    exec(f"def __init__(self, {', '.join(names)}):{body}", setters)
+    init, generated = setters["__init__"], cls.__init__
+    init.__defaults__, init.__annotations__ = generated.__defaults__, generated.__annotations__
+    init.__module__, init.__qualname__ = cls.__module__, generated.__qualname__
+    cls.__init__ = init
+    return cls
 
 
 class MocaError(Exception):
@@ -127,6 +173,11 @@ class ImpactSign(Enum):
     NEGATIVE = "negative"
 
 
+# Read for every rule built: a module global is read several times faster
+# than a member through its enum class.
+_MEDIUM, _HIGH, _POSITIVE = Level.MEDIUM, Level.HIGH, ImpactSign.POSITIVE
+
+
 def check_metric_value(value: object, *, context: str = "metric value") -> int:
     """Validate a 0..100 metric value; bools are rejected."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -154,7 +205,7 @@ def check_thresholds(thresholds: Sequence[int]) -> tuple[int, int]:
     return (t_low, t_high)
 
 
-@dataclass(frozen=True)
+@_record
 class CulturalMetric:
     """One measurable cultural characteristic with a 0..100 scale."""
 
@@ -177,7 +228,7 @@ class CulturalMetric:
             )
 
 
-@dataclass(frozen=True)
+@_record
 class CulturalProfile:
     """Measured metric values for one team or context.
 
@@ -195,7 +246,7 @@ class CulturalProfile:
         object.__setattr__(self, "values", MappingProxyType(values))
 
 
-@dataclass(frozen=True)
+@_record
 class AgileElement:
     """A node of the agile-elements taxonomy."""
 
@@ -213,7 +264,7 @@ class AgileElement:
         object.__setattr__(self, "source_methods", tuple(self.source_methods))
 
 
-@dataclass(frozen=True)
+@_record
 class ContextFlag:
     """Condition term satisfied when the named flag is set for the run."""
 
@@ -224,7 +275,7 @@ class ContextFlag:
             raise ValueError(f"flag must be an identifier, got {self.flag!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class MetricPredicate:
     """Condition term satisfied when a metric's level matches LOW or HIGH.
 
@@ -245,7 +296,7 @@ class MetricPredicate:
 ConditionTerm = ContextFlag | MetricPredicate
 
 
-@dataclass(frozen=True)
+@_record
 class ImpactCondition:
     """Named precondition: a conjunction of one or more terms."""
 
@@ -262,14 +313,16 @@ class ImpactCondition:
         object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
+@_record
 class ImpactRule:
     """One causal relation from a metric level to an agile element.
 
-    ``polarity`` is set once at construction and is not a field: +1 exactly
-    when the stated level and the sign agree (HIGH+POSITIVE or
-    LOW+NEGATIVE), else -1. The relationship inverts at the opposite level,
-    so the two authorable forms of one relation share one polarity.
+    ``polarity`` is derived at construction, so it is a field that is not
+    an ``__init__`` parameter and takes no part in ``repr``, equality or
+    hashing: +1 exactly when the stated level and the sign agree
+    (HIGH+POSITIVE or LOW+NEGATIVE), else -1. The relationship inverts at the
+    opposite level, so the two authorable forms of one relation share one
+    polarity.
     """
 
     id: str
@@ -280,6 +333,7 @@ class ImpactRule:
     element: str
     condition: str | None = None
     rationale: str = ""
+    polarity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for label, value in (("rule id", self.id), ("metric", self.metric),
@@ -288,13 +342,13 @@ class ImpactRule:
                 raise ValueError(f"{label} must be an identifier, got {value!r}")
         if self.condition is not None and not IDENT_RE.match(self.condition):
             raise ValueError(f"condition reference must be an identifier, got {self.condition!r}")
-        if self.stated_level is Level.MEDIUM:
+        if self.stated_level is _MEDIUM:
             raise ValueError(f"rule {self.id}: stated level must be LOW or HIGH")
-        aligned = (self.stated_level is Level.HIGH) == (self.sign is ImpactSign.POSITIVE)
+        aligned = (self.stated_level is _HIGH) == (self.sign is _POSITIVE)
         object.__setattr__(self, "polarity", 1 if aligned else -1)
 
 
-@dataclass(frozen=True)
+@_record
 class NormalizedRule:
     """Rule reduced to a single polarity.
 
