@@ -135,6 +135,8 @@ class ElementDiff:
 
 @_record
 class MatrixEntry:
+    """One rule in one cell of the matrix, in its authored form."""
+
     rule_id: str
     stated_level: Level
     sign: ImpactSign

@@ -68,6 +68,8 @@ class Finding:
 
 @_record
 class ValidationReport:
+    """The findings of one load or check, in the order they were found."""
+
     findings: tuple[Finding, ...] = ()
 
     @property

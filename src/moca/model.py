@@ -83,28 +83,32 @@ def _record(cls):
     field through its slot descriptor instead of the frozen class's
     object.__setattr__, then calls __post_init__ if the class has one.
 
-    The __init__ keeps the dataclass's own parameters, defaults and
-    annotations. A default_factory or a defaulted init=False field would need
-    code here to fill it, so either is refused. A slotted instance has no
-    other attribute, so assigning or deleting any name raises
-    FrozenInstanceError. The dataclass's own methods raise TypeError there on
-    CPython 3.11, since they test against the class as it was before slots
-    were added."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    The __init__ is generated here, with the parameters, defaults and
+    annotations the dataclass's own would have; the dataclass builds none.
+    A default_factory or a defaulted init=False field would need code here
+    to fill it, so either is refused. A slotted instance has no other
+    attribute, so assigning or deleting any name raises FrozenInstanceError;
+    the dataclass's own methods raise TypeError for a name that is not a
+    field on CPython 3.11, as they test against the class as it was before
+    slots were added."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     if any(f.default_factory is not MISSING or not (f.init or f.default is MISSING)
            for f in fields(cls)):
         raise TypeError(f"{cls.__name__}: _record takes no default_factory "
                         "and no init=False field with a default")
-    names = [f.name for f in fields(cls) if f.init]
-    setters = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    params = [f for f in fields(cls) if f.init]
+    namespace = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in params}
+    namespace.update({f"_default_{f.name}": f.default for f in params if f.default is not MISSING})
+    signature = "".join(f", {f.name}" if f.default is MISSING else f", {f.name}=_default_{f.name}"
+                        for f in params)
+    body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in params)
     if hasattr(cls, "__post_init__"):
         body += "\n    self.__post_init__()"
-    exec(f"def __init__(self, {', '.join(names)}):{body}", setters)
-    init, generated = setters["__init__"], cls.__init__
-    init.__defaults__, init.__annotations__ = generated.__defaults__, generated.__annotations__
-    init.__module__, init.__qualname__ = cls.__module__, generated.__qualname__
+    exec(f"def __init__(self{signature}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__annotations__ = {**{f.name: f.type for f in params}, "return": None}
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     return cls
 
