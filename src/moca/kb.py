@@ -4,7 +4,9 @@ A knowledge base is assembled from plain data files:
 
 * ``*.json`` files hold metrics, elements, and profiles (arrays of objects,
   classified per item by shape) or a manifest of expected counts (a single
-  object).
+  object). One table of fields per shape (``_SHAPES``) reads them all: a
+  wrongly typed value is an invalid-value finding, and a record rule the
+  value object refuses (id form, source and level, ...) is invalid-entity.
 * ``*.moca`` files hold impact rules and conditions in the rule language.
 
 Loading is deterministic and independent of the order paths are given in.
@@ -35,11 +37,9 @@ from .model import (
     CultureLevel,
     CulturalProfile,
     ElementKind,
-    IDENT_RE,
     ImpactCondition,
     ImpactRule,
     MATRIX_KINDS,
-    METRIC_ID_RE,
     MetricPredicate,
     MetricSource,
     MocaError,
@@ -312,15 +312,13 @@ class LoadResult:
 
 
 class _Collector:
-    """Accumulates entities and findings while files are read."""
+    """Accumulates entities and findings while files are read: one list per
+    JSON shape (see _SHAPES), the rules and conditions, and the findings."""
 
     def __init__(self):
-        self.metrics: list[CulturalMetric] = []
-        self.elements: list[AgileElement] = []
+        self.found: dict[str, list] = {shape: [] for shape in _SHAPES}
         self.conditions: list[ImpactCondition] = []
         self.rules: list[ImpactRule] = []
-        self.profiles: list[CulturalProfile] = []
-        self.manifest: ExpectedCounts | None = None
         self.manifest_path: str | None = None
         self.findings: list[Finding] = []
 
@@ -339,140 +337,90 @@ def _no_duplicate_keys(pairs):
     return out
 
 
-_METRIC_KEYS = {"id", "name", "level", "low_pole", "high_pole", "source"}
-_ELEMENT_KEYS = {"id", "name", "kind", "category", "source_methods"}
-_PROFILE_KEYS = {"name", "values"}
-_MANIFEST_KEYS = {"metrics", "practices", "roles", "practice_categories"}
+def _string(item: dict, key: str | None) -> str | None:
+    """item[key] if it is a string, else None: the id a finding names."""
+    value = item.get(key)
+    return value if isinstance(value, str) else None
 
 
-def _check_keys(item: dict, allowed: set[str], required: set[str],
-                what: str, entity_id: str | None, path: str, out: _Collector) -> bool:
-    ok = True
-    for key in sorted(set(item) - allowed):
-        out.error("unknown-field", f"{what} has unknown field '{key}'",
-                  entity_id=entity_id, path=path)
-        ok = False
-    for key in sorted(required - set(item)):
-        out.error("missing-field", f"{what} is missing required field '{key}'",
-                  entity_id=entity_id, path=path)
-        ok = False
-    return ok
+_STRING = (lambda raw: isinstance(raw, str), "a string")
+_REQUIRED, _OPTIONAL = True, False
+
+#: Each JSON shape: its record type, the key whose string value names an
+#: item in findings, and its fields in checking order. A field maps its key
+#: to (check, required). A check is an Enum, matched case-insensitively; a
+#: (test, words) pair, where words end "<shape> <key> must be ..."; or None,
+#: leaving the value to the record, as the manifest's counts are.
+_SHAPES = {
+    "metric": (CulturalMetric, "id", {
+        "id": (_STRING, _REQUIRED), "name": (_STRING, _REQUIRED),
+        "low_pole": (_STRING, _REQUIRED), "high_pole": (_STRING, _REQUIRED),
+        "level": (CultureLevel, _REQUIRED), "source": (MetricSource, _REQUIRED)}),
+    "element": (AgileElement, "id", {
+        "id": (_STRING, _REQUIRED), "name": (_STRING, _REQUIRED),
+        "kind": (ElementKind, _REQUIRED),
+        "category": ((lambda raw: raw is None or isinstance(raw, str),
+                      "a string or null"), _OPTIONAL),
+        "source_methods": ((lambda raw: isinstance(raw, list)
+                            and all(isinstance(m, str) for m in raw),
+                            "a list of strings"), _OPTIONAL)}),
+    "profile": (CulturalProfile, "name", {
+        "name": (_STRING, _REQUIRED),
+        "values": ((lambda raw: isinstance(raw, dict), "an object"), _REQUIRED)}),
+    "manifest": (ExpectedCounts, None, dict.fromkeys(
+        ("metrics", "practices", "roles", "practice_categories"), (None, _REQUIRED))),
+}
 
 
-def _decode_enum(enum_cls, raw, what: str, entity_id: str | None,
-                 path: str, out: _Collector):
-    if isinstance(raw, str):
-        try:
-            return enum_cls(raw.lower())
-        except ValueError:
-            pass
-    allowed = ", ".join(e.value for e in enum_cls)
-    out.error("invalid-value", f"{what} must be one of: {allowed}; got {raw!r}",
-              entity_id=entity_id, path=path)
-    return None
+def _parse_item(shape: str, item: dict, path: str, out: _Collector):
+    """Check one JSON object against its shape and keep the record it makes.
 
+    Three stages, each reporting all it finds and stopping the item on any
+    finding: unknown-field and missing-field, then invalid-value for a value
+    of the wrong type, then invalid-entity for a rule the record refuses.
+    """
+    record, id_key, fields = _SHAPES[shape]
+    entity_id = _string(item, id_key)
+    before = len(out.findings)
 
-def _string_field(item: dict, key: str, what: str, entity_id: str | None,
-                  path: str, out: _Collector) -> str | None:
-    raw = item.get(key)
-    if not isinstance(raw, str):
-        out.error("invalid-value", f"{what} field '{key}' must be a string, got {raw!r}",
-                  entity_id=entity_id, path=path)
-        return None
-    return raw
+    def error(code: str, message: str):
+        out.error(code, message, entity_id=entity_id, path=path)
 
-
-def _parse_metric(item: dict, path: str, out: _Collector):
-    entity_id = item.get("id") if isinstance(item.get("id"), str) else None
-    if not _check_keys(item, _METRIC_KEYS, _METRIC_KEYS, "metric", entity_id, path, out):
+    for key in sorted(item.keys() - fields.keys()):
+        error("unknown-field", f"{shape} has unknown field '{key}'")
+    for key in sorted(k for k, (_, required) in fields.items() if required and k not in item):
+        error("missing-field", f"{shape} is missing required field '{key}'")
+    if len(out.findings) > before:
         return
-    fields = {key: _string_field(item, key, "metric", entity_id, path, out)
-              for key in ("id", "name", "low_pole", "high_pole")}
-    level = _decode_enum(CultureLevel, item["level"], "metric level", entity_id, path, out)
-    source = _decode_enum(MetricSource, item["source"], "metric source", entity_id, path, out)
-    if None in fields.values() or level is None or source is None:
-        return
-    if not METRIC_ID_RE.match(fields["id"]):
-        out.error("invalid-id",
-                  f"metric id must match [A-Z][A-Z0-9_]*, got '{fields['id']}'",
-                  entity_id=entity_id, path=path)
-        return
-    try:
-        out.metrics.append(CulturalMetric(
-            id=fields["id"], name=fields["name"], level=level,
-            low_pole=fields["low_pole"], high_pole=fields["high_pole"], source=source))
-    except ValueError as exc:
-        out.error("invalid-entity", str(exc), entity_id=entity_id, path=path)
-
-
-def _parse_element(item: dict, path: str, out: _Collector):
-    entity_id = item.get("id") if isinstance(item.get("id"), str) else None
-    if not _check_keys(item, _ELEMENT_KEYS, {"id", "name", "kind"},
-                       "element", entity_id, path, out):
-        return
-    ident = _string_field(item, "id", "element", entity_id, path, out)
-    name = _string_field(item, "name", "element", entity_id, path, out)
-    kind = _decode_enum(ElementKind, item["kind"], "element kind", entity_id, path, out)
-    if ident is None or name is None or kind is None:
-        return
-    category = item.get("category")
-    if category is not None and not isinstance(category, str):
-        out.error("invalid-value", f"element category must be a string, got {category!r}",
-                  entity_id=entity_id, path=path)
-        return
-    methods = item.get("source_methods", [])
-    if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
-        out.error("invalid-value",
-                  f"element source_methods must be a list of strings, got {methods!r}",
-                  entity_id=entity_id, path=path)
-        return
-    if not IDENT_RE.match(ident):
-        out.error("invalid-id", f"element id must be an identifier, got '{ident}'",
-                  entity_id=entity_id, path=path)
+    values = {}
+    for key, (check, _) in fields.items():
+        if key not in item:
+            continue
+        raw = values[key] = item[key]
+        if isinstance(check, type):  # an Enum, matched case-insensitively
+            try:
+                values[key] = check(raw.lower())
+                continue
+            except (AttributeError, ValueError):  # not a string, or no such member
+                words = "one of " + " | ".join(member.value for member in check)
+        elif check is None or check[0](raw):
+            continue
+        else:
+            words = check[1]
+        error("invalid-value", f"{shape} {key} must be {words}, got {raw!r}")
+    if len(out.findings) > before:
         return
     try:
-        out.elements.append(AgileElement(
-            id=ident, name=name, kind=kind, category=category,
-            source_methods=tuple(methods)))
+        entity = record(**values)
     except ValueError as exc:
-        out.error("invalid-entity", str(exc), entity_id=entity_id, path=path)
-
-
-def _parse_profile(item: dict, path: str, out: _Collector):
-    entity_id = item.get("name") if isinstance(item.get("name"), str) else None
-    if not _check_keys(item, _PROFILE_KEYS, _PROFILE_KEYS,
-                       "profile", entity_id, path, out):
+        error("invalid-entity", str(exc))
         return
-    name = _string_field(item, "name", "profile", entity_id, path, out)
-    values = item.get("values")
-    if name is None:
-        return
-    if not isinstance(values, dict):
-        out.error("invalid-value", f"profile values must be an object, got {values!r}",
-                  entity_id=entity_id, path=path)
-        return
-    try:
-        out.profiles.append(CulturalProfile(name=name, values=values))
-    except ValueError as exc:
-        out.error("invalid-entity", str(exc), entity_id=entity_id, path=path)
-
-
-def _parse_manifest(obj: dict, path: str, out: _Collector):
-    if not _check_keys(obj, _MANIFEST_KEYS, _MANIFEST_KEYS, "manifest", None, path, out):
-        return
-    try:
-        manifest = ExpectedCounts(
-            metrics=obj["metrics"], practices=obj["practices"],
-            roles=obj["roles"], practice_categories=obj["practice_categories"])
-    except ValueError as exc:
-        out.error("invalid-entity", str(exc), path=path)
-        return
-    if out.manifest is not None:
-        out.error("duplicate-manifest",
-                  f"manifest already declared in {out.manifest_path}", path=path)
-        return
-    out.manifest = manifest
-    out.manifest_path = path
+    if shape == "manifest":
+        if out.manifest_path is not None:
+            error("duplicate-manifest", f"manifest already declared in {out.manifest_path}")
+            return
+        out.manifest_path = path
+    out.found[shape].append(entity)
 
 
 def _classify_item(item: dict) -> str | None:
@@ -504,13 +452,11 @@ def _read_json_file(path: Path, name: str, out: _Collector):
         out.error("invalid-json", str(exc), path=name)
         return
     if isinstance(payload, dict):
-        _parse_manifest(payload, name, out)
+        _parse_item("manifest", payload, name, out)
         return
     if not isinstance(payload, list):
         out.error("invalid-json", "top level must be an object or an array", path=name)
         return
-    parsers = {"metric": _parse_metric, "element": _parse_element,
-               "profile": _parse_profile}
     for index, item in enumerate(payload):
         if not isinstance(item, dict):
             out.error("invalid-entity", f"entry {index} must be an object, got {item!r}",
@@ -520,9 +466,9 @@ def _read_json_file(path: Path, name: str, out: _Collector):
         if shape is None:
             out.error("invalid-entity",
                       f"entry {index} does not look like a metric, element, or profile",
-                      entity_id=item.get("id") or item.get("name"), path=name)
+                      entity_id=_string(item, "id") or _string(item, "name"), path=name)
             continue
-        parsers[shape](item, name, out)
+        _parse_item(shape, item, name, out)
 
 
 def _read_rule_file(path: Path, name: str, out: _Collector):
@@ -594,10 +540,12 @@ def load(paths: Iterable[str | Path]) -> LoadResult:
     for _, path in sorted(canonical.items()):
         _read_file(path, _READERS.get(path.suffix, _unsupported_file), out)
 
+    found = out.found
     try:
-        kb = KnowledgeBase(metrics=out.metrics, elements=out.elements,
+        kb = KnowledgeBase(metrics=found["metric"], elements=found["element"],
                            conditions=out.conditions, rules=out.rules,
-                           manifest=out.manifest, profiles=out.profiles)
+                           manifest=(found["manifest"] or [None])[0],
+                           profiles=found["profile"])
         integrity = kb._warnings
     except KnowledgeBaseError as exc:
         kb, integrity = None, exc.report.findings
@@ -619,12 +567,12 @@ def load_profiles(path: str | Path) -> tuple[tuple[CulturalProfile, ...], Valida
     file_path = Path(path)
     _read_file(file_path, _read_json_file, out)
     name = _file_name(file_path)
-    for stray in (*out.metrics, *out.elements):
+    for stray in (*out.found["metric"], *out.found["element"]):
         out.error("invalid-entity", f"expected only profiles, found {stray.id}",
                   entity_id=stray.id, path=name)
-    if out.manifest is not None:
+    if out.found["manifest"]:
         out.error("invalid-entity", "expected only profiles, found a manifest", path=name)
-    return tuple(out.profiles), ValidationReport(tuple(out.findings))
+    return tuple(out.found["profile"]), ValidationReport(tuple(out.findings))
 
 
 def seed_dir() -> Path:

@@ -1,8 +1,10 @@
+import ast
 import itertools
 import json
 
 import pytest
 
+from moca import kb as kb_mod
 from moca.kb import (
     ExpectedCounts,
     KnowledgeBase,
@@ -26,12 +28,25 @@ from moca.model import (
     UnknownEntityError,
 )
 
-from util import MIN_ELEMENTS, MIN_METRICS, write_kb
+from util import MIN_ELEMENTS, MIN_METRICS, MIN_RULES, write_kb
+
+#: A manifest that an empty file set matches.
+EMPTY_MANIFEST = {"metrics": 0, "practices": 0, "roles": 0, "practice_categories": 0}
 
 
 def codes(report, severity=None):
     return [f.code for f in report.findings
             if severity is None or f.severity is severity]
+
+
+def write_files(tmp_path, files):
+    """Write {name: payload} under tmp_path: a str as text, None as no file
+    at all, anything else as JSON. Returns the paths."""
+    for name, payload in files.items():
+        if payload is not None:
+            text = payload if isinstance(payload, str) else json.dumps(payload)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    return [tmp_path / name for name in files]
 
 
 class TestSeedKb:
@@ -165,11 +180,15 @@ class TestLoadFailures:
         metrics = [dict(MIN_METRICS[0], extra="nope")]
         paths = write_kb(tmp_path, metrics=metrics + MIN_METRICS[1:], rules=None)
         assert "unknown-field" in codes(load(paths).report)
+        manifest = write_files(tmp_path, {"m.json": dict(EMPTY_MANIFEST, extra=1)})
+        assert codes(load(manifest).report) == ["unknown-field"]
 
     def test_missing_field(self, tmp_path):
         broken = {k: v for k, v in MIN_METRICS[0].items() if k != "low_pole"}
         paths = write_kb(tmp_path, metrics=[broken] + MIN_METRICS[1:], rules=None)
         assert "missing-field" in codes(load(paths).report)
+        manifest = write_files(tmp_path, {"m.json": {"metrics": 0, "roles": 0}})
+        assert codes(load(manifest).report) == ["missing-field"] * 2
 
     def test_bad_enum_value(self, tmp_path):
         metrics = [dict(MIN_METRICS[0], source="globe")]
@@ -185,6 +204,62 @@ class TestLoadFailures:
         entities = tmp_path / "entities.json"
         entities.write_text('[{"id": "x", "name": "x"}]')
         assert codes(load([entities]).report) == ["invalid-entity"]
+
+    def test_unclassifiable_item_is_named_only_by_a_string(self, tmp_path):
+        entities = write_files(tmp_path, {"e.json": [{"id": {"a": 1}, "name": "x"},
+                                                     {"id": 5}]})
+        report = load(entities).report
+        assert codes(report) == ["invalid-entity"] * 2
+        assert [f.entity_id for f in report.findings] == ["x", None]
+
+    @pytest.mark.parametrize("metrics, elements, bad_id, message", [
+        ([dict(MIN_METRICS[0], id="pdi")], None, "pdi",
+         "metric id must match [A-Z][A-Z0-9_]*, got 'pdi'"),
+        (None, [dict(MIN_ELEMENTS[1], id="9x")], "9x",
+         "element id must be an identifier, got '9x'"),
+    ], ids=["metric", "element"])
+    def test_bad_id_is_one_invalid_entity(self, tmp_path, metrics, elements, bad_id, message):
+        # the value object's constructor is the one id check
+        paths = write_kb(tmp_path, metrics=metrics, elements=elements, rules=None)
+        (finding,) = load(paths).report.findings
+        assert finding.severity is Severity.ERROR
+        assert (finding.code, finding.entity_id, finding.message) == (
+            "invalid-entity", bad_id, message)
+
+    @pytest.mark.parametrize("files, code, entity_id, message", [
+        ({"m.json": [dict(MIN_METRICS[0], id=5)]}, "invalid-value", None,
+         "metric id must be a string, got 5"),
+        ({"m.json": [dict(MIN_METRICS[0], level="regional")]}, "invalid-value", "PDI",
+         "metric level must be one of national | organizational, got 'regional'"),
+        ({"e.json": [dict(MIN_ELEMENTS[1], kind=5)]}, "invalid-value", "coach",
+         "element kind must be one of practice | role | artifact | technique | tool, got 5"),
+        ({"e.json": [dict(MIN_ELEMENTS[1], source_methods="scrum")]}, "invalid-value",
+         "coach", "element source_methods must be a list of strings, got 'scrum'"),
+        ({"e.json": [dict(MIN_ELEMENTS[1], source_methods=["scrum", 3])]},
+         "invalid-value", "coach",
+         "element source_methods must be a list of strings, got ['scrum', 3]"),
+        ({"e.json": [dict(MIN_ELEMENTS[0], category=7)]}, "invalid-value",
+         "daily_meeting", "element category must be a string or null, got 7"),
+        ({"p.json": [{"name": "p", "values": [1]}]}, "invalid-value", "p",
+         "profile values must be an object, got [1]"),
+        ({"m.json": dict(EMPTY_MANIFEST, roles=True)}, "invalid-entity", None,
+         "manifest roles must be a non-negative integer"),
+        ({"a.json": EMPTY_MANIFEST, "b.json": EMPTY_MANIFEST}, "duplicate-manifest",
+         None, "manifest already declared in "),
+    ], ids=["id-not-a-string", "bad-enum", "enum-not-a-string", "methods-not-a-list",
+            "methods-hold-a-number", "numeric-category", "values-not-an-object",
+            "bool-manifest-count", "two-manifests"])
+    def test_reader_failure(self, tmp_path, files, code, entity_id, message):
+        (finding,) = load(write_files(tmp_path, files)).report.findings
+        assert (finding.code, finding.entity_id) == (code, entity_id)
+        assert finding.message.startswith(message)
+
+    def test_null_category_is_accepted_and_null_methods_are_not(self, tmp_path):
+        element = dict(MIN_ELEMENTS[1], category=None)
+        assert load(write_files(tmp_path, {"e.json": [element]})).kb is not None
+        element = dict(MIN_ELEMENTS[1], source_methods=None)
+        assert codes(load(write_files(tmp_path, {"e.json": [element]})).report) == [
+            "invalid-value"]
 
     def test_profile_with_unknown_metric(self, tmp_path):
         paths = write_kb(tmp_path, rules=None,
@@ -348,3 +423,75 @@ def test_seed_paths_exist():
         "rules.moca"]
     for path in paths:
         assert path.is_file()
+
+
+#: A minimal file set that produces each finding code kb.py can emit.
+#: uncovered-cell comes from validate_completeness, the rest from load.
+FINDING_CODE_FILE_SETS = {
+    "io-error": {"missing.json": None},
+    "unsupported-file": {"rules.yaml": "nope"},
+    "invalid-json": {"metrics.json": "[{"},
+    "syntax-error": {"rules.moca": "RULE broken\n"},
+    "unknown-field": {"metrics.json": [dict(MIN_METRICS[0], extra=1)]},
+    "missing-field": {"manifest.json": {"metrics": 0}},
+    "invalid-value": {"metrics.json": [dict(MIN_METRICS[0], source="globe")]},
+    "invalid-entity": {"metrics.json": [dict(MIN_METRICS[0], level="organizational")]},
+    "duplicate-manifest": {"a.json": EMPTY_MANIFEST, "b.json": EMPTY_MANIFEST},
+    "manifest-mismatch": {"manifest.json": dict(EMPTY_MANIFEST, roles=1)},
+    "duplicate-id": {"metrics.json": MIN_METRICS[:1] * 2},
+    "dangling-metric": {"elements.json": MIN_ELEMENTS, "rules.moca": MIN_RULES},
+    "dangling-element": {"metrics.json": MIN_METRICS, "rules.moca": MIN_RULES},
+    "dangling-condition": {
+        "metrics.json": MIN_METRICS, "elements.json": MIN_ELEMENTS,
+        "rules.moca": "RULE R1: IF C9 THEN HIGH PDI IMPACTS daily_meeting NEGATIVE\n"},
+    "duplicate-relation": {
+        "metrics.json": MIN_METRICS, "elements.json": MIN_ELEMENTS,
+        "rules.moca": MIN_RULES + MIN_RULES.replace("R1", "R2")},
+    "rule-target-kind": {
+        "metrics.json": MIN_METRICS,
+        "elements.json": [{"id": "board", "name": "Board", "kind": "artifact"}],
+        "rules.moca": "RULE R1: HIGH PDI IMPACTS board NEGATIVE\n"},
+    "uncovered-cell": {
+        "metrics.json": MIN_METRICS, "elements.json": MIN_ELEMENTS,
+        "manifest.json": {"metrics": 2, "practices": 1, "roles": 1,
+                          "practice_categories": 1}},
+}
+
+
+def emitted_finding_codes():
+    """Every string literal kb.py passes as a finding code, read with ast:
+    the first argument of an error() or err() call, the second of Finding().
+    Also returns, as source text, each argument there that is not a literal."""
+    with open(kb_mod.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    literals, others = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        position = {"error": 0, "err": 0, "Finding": 1}.get(callee)
+        if position is None or len(node.args) <= position:
+            continue
+        arg = node.args[position]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            literals.add(arg.value)
+        else:
+            others.add(ast.unparse(arg))
+    return literals, others
+
+
+def test_every_finding_code_has_a_file_set():
+    literals, others = emitted_finding_codes()
+    # only the helpers forward a code, as their parameter named code; a code
+    # passed in any other way would escape the literal scan
+    assert others == {"code"}
+    assert literals == set(FINDING_CODE_FILE_SETS)
+
+
+@pytest.mark.parametrize("code", sorted(FINDING_CODE_FILE_SETS))
+def test_finding_code_file_set_produces_it(tmp_path, code):
+    result = load(write_files(tmp_path, FINDING_CODE_FILE_SETS[code]))
+    report = result.report
+    if result.kb is not None:
+        report = report.merged(validate_completeness(result.kb))
+    assert code in codes(report)
