@@ -14,9 +14,9 @@ import json
 import os
 import stat
 import sys
-from itertools import chain
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
 
 from . import engine
 from . import kb as kb_mod
@@ -69,13 +69,15 @@ def resolve_kb_paths(kb_args: Sequence[str] | None) -> tuple[Path, ...]:
     return tuple(paths)
 
 
-def _emit(args: argparse.Namespace, text: str):
-    """Write to stdout or --out; a regular --out file is replaced whole, mode kept."""
+def _emit(args: argparse.Namespace, chunks: Iterable[str]):
+    """Write the chunks as they are made, to stdout (kept up to a failure) or
+    --out; a regular --out file is replaced whole, mode kept, or left as it was."""
     if args.out is None:
         if sys.stdout is None:  # the process started with stdout closed
             raise CliError("cannot write standard output: it is closed")
         try:
-            sys.stdout.write(text)
+            for chunk in chunks:
+                sys.stdout.write(chunk)
             sys.stdout.flush()
         except OSError as exc:
             # The interpreter flushes stdout again at exit; pointing it at
@@ -93,7 +95,8 @@ def _emit(args: argparse.Namespace, text: str):
     try:
         if args.out.exists() and not args.out.is_file():
             # A device, FIFO or terminal is written in place, never replaced.
-            args.out.write_text(text, encoding="utf-8")
+            with args.out.open("w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
             return
         umask = os.umask(0o022)
         os.umask(umask)
@@ -103,7 +106,7 @@ def _emit(args: argparse.Namespace, text: str):
         try:
             with open(fd, "w", encoding="utf-8") as handle:
                 os.chmod(fd, mode)
-                handle.write(text)
+                handle.writelines(chunks)
             os.replace(temp, target)
         finally:
             Path(temp).unlink(missing_ok=True)
@@ -113,6 +116,8 @@ def _emit(args: argparse.Namespace, text: str):
 
 _CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+#: Members per encoder call in a long or lazy container; lines per text chunk.
+_SLICE = 2000
 
 
 @functools.cache
@@ -125,18 +130,44 @@ def _encoder(depth: int):
     return lambda value: "".join(encode(value, 0))
 
 
-def _json_text(payload) -> str:
-    """`json.dumps(payload, indent=2, ensure_ascii=False)` and a newline, byte
-    for byte. json runs its C encoder only without an indent, so the layout
-    goes in the item separator. A container is encoded with its non-empty
-    containers swapped for 0, split at the separator and the 0s filled in; a
-    list of objects is encoded a level down, then split at "}" + separator +
-    "{". This is safe because the separator starts with a newline, and json
-    escapes it inside a string: it only ever occurs between two members."""
-    return _render(payload, 0) + "\n"
+def _json_chunks(payload) -> Iterator[str]:
+    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` in pieces."""
+    yield from _chunks(payload, 0)
+    yield "\n"
+
+
+def _chunks(value, depth: int) -> Iterator[str]:
+    """`_render(value, depth)` in pieces, where an iterator stands for a list. A
+    dict holding a dict or an iterator goes one member at a time; an iterator,
+    or another container of more than _SLICE members, goes _SLICE members per
+    `_render`. Each piece is cut from a `_render`, so the layout is json's."""
+    inner, outer = "  " * (depth + 1), "  " * depth
+    if isinstance(value, dict) and any(
+            issubclass(kind, (dict, Iterator)) for kind in set(map(type, value.values()))):
+        for i, (key, member) in enumerate(value.items()):
+            pieces = _chunks(member, depth + 1)
+            yield f"{',' if i else '{'}\n{inner}{_encoder(depth)({key: 0})[1:-2]}{next(pieces)}"
+            yield from pieces
+        yield f"\n{outer}}}"
+    elif isinstance(value, Iterator) or isinstance(value, _CONTAINERS) and len(value) > _SLICE:
+        is_dict, tail, text = isinstance(value, dict), len(outer) + 2, None
+        members = iter(value.items() if is_dict else value)
+        parts = iter(lambda: list(islice(members, _SLICE)), [])
+        for i, text in enumerate(_render(dict(p) if is_dict else p, depth) for p in parts):
+            yield text[:-tail] if i == 0 else "," + text[1:-tail]  # "," + "\n" + inner + body
+        yield "[]" if text is None else text[-tail:]  # an iterator may be empty
+    else:
+        yield _render(value, depth)
 
 
 def _render(value, depth: int) -> str:
+    """`value` as json.dumps(indent=2) lays it out `depth` levels down. json
+    runs its C encoder only without an indent, so the layout goes in the item
+    separator. A container is encoded with its non-empty containers swapped
+    for 0, split at the separator and the 0s filled in; a list of objects is
+    encoded a level down, then split at "}" + separator + "{". This is safe
+    because the separator starts with a newline, and json escapes it inside a
+    string: it only ever occurs between two members."""
     if not (isinstance(value, _CONTAINERS) and value):
         return _encoder(depth)(value)
     inner, outer, is_dict = "  " * (depth + 1), "  " * depth, isinstance(value, dict)
@@ -164,6 +195,13 @@ def _render(value, depth: int) -> str:
         body = body.replace(f"}},\n{inner}  {{", f"\n{inner}}},\n{inner}{{\n{inner}  ")
         return f"[\n{inner}{{\n{inner}  {body}\n{inner}}}\n{outer}]"
     return f"{'{' if is_dict else '['}\n{inner}{body}\n{outer}{'}' if is_dict else ']'}"
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, each ended by a newline, _SLICE lines per chunk."""
+    lines = iter(lines)
+    while block := list(islice(lines, _SLICE)):
+        yield "\n".join(block) + "\n"
 
 
 def _where(finding: Finding) -> str:
@@ -248,15 +286,18 @@ def _context(args: argparse.Namespace, profile: CulturalProfile,
 
 # --- validate ---------------------------------------------------------------
 
-def cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_validate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     result = kb_mod.load(args.kb)
     report = result.report
     if result.kb is not None:
         report = report.merged(kb_mod.validate_completeness(result.kb))
     errors = report.errors
-    if args.format == "json":
-        return _report_exit_code(errors), _json_text(_validate_json(result.kb, report, errors))
-    return _report_exit_code(errors), _validate_text(result.kb, report, errors)
+    if args.format == "text":
+        return _report_exit_code(errors), _blocks(_validate_text(result.kb, report, errors))
+    return _report_exit_code(errors), _json_chunks({
+        "valid": not errors,
+        "summary": _kb_summary(result.kb) if result.kb is not None else None,
+        "findings": map(_finding_json, report.findings)})  # made a slice at a time
 
 
 def _kb_summary(kb: KnowledgeBase) -> dict:
@@ -276,43 +317,31 @@ def _kb_summary(kb: KnowledgeBase) -> dict:
 
 
 def _validate_text(kb: KnowledgeBase | None, report: ValidationReport,
-                   errors: Sequence[Finding]) -> str:
-    lines = []
+                   errors: Sequence[Finding]) -> Iterator[str]:
     if kb is not None:
         summary = _kb_summary(kb)
-        lines.append(f"metrics: {summary['metrics']}")
-        lines.append(f"elements: {summary['elements']} "
-                     f"({summary['practices']} practices, {summary['roles']} roles)")
-        lines.append(f"conditions: {summary['conditions']}")
-        lines.append(f"rules: {summary['rules']}")
-        lines.append(f"profiles: {summary['profiles']}")
-        lines.append(f"matrix domain: {summary['matrix_cells']} cells")
+        yield f"metrics: {summary['metrics']}"
+        yield (f"elements: {summary['elements']} "
+               f"({summary['practices']} practices, {summary['roles']} roles)")
+        yield f"conditions: {summary['conditions']}"
+        yield f"rules: {summary['rules']}"
+        yield f"profiles: {summary['profiles']}"
+        yield f"matrix domain: {summary['matrix_cells']} cells"
         if kb.manifest is not None:
-            lines.append("manifest: counts confirmed")
-    lines.extend(_finding_line(f) for f in report.findings)
-    lines.append(f"result: {len(errors)} error(s), "
-                 f"{len(report.warnings)} warning(s)")
-    return "\n".join(lines) + "\n"
-
-
-def _validate_json(kb: KnowledgeBase | None, report: ValidationReport,
-                   errors: Sequence[Finding]) -> dict:
-    return {
-        "valid": not errors,
-        "summary": _kb_summary(kb) if kb is not None else None,
-        "findings": [_finding_json(f) for f in report.findings],
-    }
+            yield "manifest: counts confirmed"
+    yield from map(_finding_line, report.findings)
+    yield f"result: {len(errors)} error(s), {len(report.warnings)} warning(s)"
 
 
 # --- evaluate ---------------------------------------------------------------
 
-def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_evaluate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     kb = _require_kb(args)
     profile = _profile(_profiles(kb, args), args.profile)
     assessments = engine.evaluate(kb, _context(args, profile, args.flag))
     if args.format == "json":
-        return EXIT_OK, _json_text([_assessment_json(a) for a in assessments])
-    return EXIT_OK, _assessments_text(kb, assessments)
+        return EXIT_OK, _json_chunks(map(_assessment_json, assessments))
+    return EXIT_OK, _blocks(_assessments_text(kb, assessments))
 
 
 def _assessment_json(a: engine.Assessment) -> dict:
@@ -338,35 +367,34 @@ def _label_text(label: engine.ImpactLabel) -> str:
     return label.value.replace("_", " ")
 
 
-def _assessments_text(kb: KnowledgeBase, assessments: Sequence[engine.Assessment]) -> str:
-    lines = []
+def _assessments_text(kb: KnowledgeBase,
+                      assessments: Sequence[engine.Assessment]) -> Iterator[str]:
     for a in assessments:
         header = f"{a.element}: {_label_text(a.label)}"
         if a.contributions:
             header += f" ({', '.join(c.rule_id for c in a.contributions)})"
-        lines.append(header)
-        lines.append(f"  score: {a.score:+d}")
+        yield header
+        yield f"  score: {a.score:+d}"
         for c in a.contributions:
             rule = kb.rule(c.rule_id)
             detail = (f"  fired: {c.rule_id} {c.value:+d} "
                       f"[{c.fired_level.value.upper()} {rule.metric}]")
             if rule.rationale:
                 detail += f" because {rule.rationale}"
-            lines.append(detail)
+            yield detail
         for rule_id in a.gated_rules:
-            lines.append(f"  gated: {rule_id} ({kb.rule(rule_id).condition} not satisfied)")
+            yield f"  gated: {rule_id} ({kb.rule(rule_id).condition} not satisfied)"
         for rule_id in a.indeterminate_rules:
-            lines.append(f"  indeterminate: {rule_id} (no value for {kb.rule(rule_id).metric})")
-    return "\n".join(lines) + "\n"
+            yield f"  indeterminate: {rule_id} (no value for {kb.rule(rule_id).metric})"
 
 
 # --- matrix -----------------------------------------------------------------
 
-def cmd_matrix(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_matrix(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     matrix = engine.export_matrix(_require_kb(args))
     if args.format == "json":
-        return EXIT_OK, _json_text(_matrix_json(matrix))
-    return EXIT_OK, _matrix_csv(matrix)
+        return EXIT_OK, _json_chunks(_matrix_json(matrix))  # a row, or a slice of one, a chunk
+    return EXIT_OK, _blocks(_matrix_csv(matrix))
 
 
 def _cell_token(entry: engine.MatrixEntry) -> str:
@@ -376,15 +404,15 @@ def _cell_token(entry: engine.MatrixEntry) -> str:
     return token
 
 
-def _matrix_csv(matrix: engine.MatrixExport) -> str:
-    """CSV needing no quoting: ids and cell tokens are identifiers joined by
-    ':', '@' and ';', which the model's constructors enforce."""
+def _matrix_csv(matrix: engine.MatrixExport) -> Iterator[str]:
+    """CSV lines needing no quoting: ids and cell tokens are identifiers joined
+    by ':', '@' and ';', which the model's constructors enforce."""
     rows = {metric_id: dict.fromkeys(matrix.elements, "") for metric_id in matrix.metrics}
     for (metric_id, element_id), entries in matrix.cells.items():
         rows[metric_id][element_id] = ";".join(_cell_token(entry) for entry in entries)
-    lines = [",".join(["metric", *matrix.elements])]
-    lines.extend(",".join([metric_id, *row.values()]) for metric_id, row in rows.items())
-    return "\n".join(lines) + "\n"
+    yield ",".join(["metric", *matrix.elements])
+    for metric_id, row in rows.items():
+        yield ",".join([metric_id, *row.values()])
 
 
 def _matrix_json(matrix: engine.MatrixExport) -> dict:
@@ -408,12 +436,12 @@ def _matrix_json(matrix: engine.MatrixExport) -> dict:
 
 # --- explain ----------------------------------------------------------------
 
-def cmd_explain(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_explain(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     kb = _require_kb(args)
     rule = kb.rule(args.rule_id)
     if args.format == "json":
-        return EXIT_OK, _json_text(_explain_json(kb, rule))
-    return EXIT_OK, _explain_text(kb, rule)
+        return EXIT_OK, _json_chunks(_explain_json(kb, rule))
+    return EXIT_OK, _blocks(_explain_text(kb, rule))
 
 
 def _term_text(term) -> str:
@@ -432,19 +460,16 @@ def _rule_notation(kb: KnowledgeBase, rule: ImpactRule) -> str:
     return f"IF ({condition.id}: {condition.description}) THEN {head}"
 
 
-def _explain_text(kb: KnowledgeBase, rule: ImpactRule) -> str:
-    lines = [f"{rule.id}: {rule.title}" if rule.title else rule.id]
+def _explain_text(kb: KnowledgeBase, rule: ImpactRule) -> Iterator[str]:
+    yield f"{rule.id}: {rule.title}" if rule.title else rule.id
     if rule.condition is None:
-        lines.append("  No precondition")
-        lines.append(f"  {_rule_notation(kb, rule)}")
-    else:
-        lines.append(f"  {_rule_notation(kb, rule)}")
+        yield "  No precondition"
+    yield f"  {_rule_notation(kb, rule)}"
+    if rule.condition is not None:
         condition = kb.condition(rule.condition)
-        terms = " AND ".join(_term_text(t) for t in condition.terms)
-        lines.append(f"  condition {condition.id}: {terms}")
+        yield f"  condition {condition.id}: {' AND '.join(map(_term_text, condition.terms))}"
     if rule.rationale:
-        lines.append(f"  rationale: {rule.rationale}")
-    return "\n".join(lines) + "\n"
+        yield f"  rationale: {rule.rationale}"
 
 
 def _explain_json(kb: KnowledgeBase, rule: ImpactRule) -> dict:
@@ -470,7 +495,7 @@ def _explain_json(kb: KnowledgeBase, rule: ImpactRule) -> dict:
 
 # --- diff -------------------------------------------------------------------
 
-def cmd_diff(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_diff(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     kb = _require_kb(args)
     profiles = _profiles(kb, args)
     ctx_a = _context(args, _profile(profiles, args.profile_a or args.profile),
@@ -481,8 +506,8 @@ def cmd_diff(args: argparse.Namespace) -> tuple[int, str]:
     if not args.all:
         diffs = tuple(d for d in diffs if d.delta != 0 or d.rules_changed)
     if args.format == "json":
-        return EXIT_OK, _json_text([_diff_json(d) for d in diffs])
-    return EXIT_OK, _diff_text(diffs)
+        return EXIT_OK, _json_chunks(map(_diff_json, diffs))
+    return EXIT_OK, _blocks(_diff_text(diffs))
 
 
 def _diff_json(d: engine.ElementDiff) -> dict:
@@ -495,16 +520,14 @@ def _diff_json(d: engine.ElementDiff) -> dict:
     }
 
 
-def _diff_text(diffs: Sequence[engine.ElementDiff]) -> str:
+def _diff_text(diffs: Sequence[engine.ElementDiff]) -> Iterator[str]:
     if not diffs:
-        return "no differences\n"
-    lines = []
+        yield "no differences"
     for d in diffs:
         line = f"{d.element}: {d.score_a:+d} -> {d.score_b:+d} (delta {d.delta:+d})"
         if d.rules_changed:
             line += f" rules: {', '.join(d.rules_changed)}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        yield line
 
 
 # --- argument parsing -------------------------------------------------------
@@ -608,8 +631,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.kb = resolve_kb_paths(args.kb)
-        code, text = args.run(args)
-        _emit(args, text)
+        code, chunks = args.run(args)  # the code is known before the first write
+        _emit(args, chunks)
         return code
     except CliError as exc:
         _print_error(exc)

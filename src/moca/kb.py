@@ -191,6 +191,19 @@ _INDEXED = (("metrics", "metric", "id"), ("elements", "element", "id"),
             ("profiles", "profile", "name"))
 
 
+def _lookup(label: str):
+    """The KnowledgeBase method that finds an entity in its _<label>_index."""
+    attr = f"_{label}_index"
+
+    def lookup(self, entity_id: str):
+        try:
+            return self.__dict__[attr][entity_id]
+        except KeyError:
+            raise UnknownEntityError(label, entity_id) from None
+    lookup.__name__, lookup.__qualname__ = label, f"KnowledgeBase.{label}"
+    return lookup
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Immutable, fully resolved knowledge base.
@@ -245,35 +258,9 @@ class KnowledgeBase:
         return tuple(sorted(
             (e for e in self.elements if e.kind in MATRIX_KINDS), key=lambda e: e.id))
 
-    def metric(self, metric_id: str) -> CulturalMetric:
-        try:
-            return self._metric_index[metric_id]
-        except KeyError:
-            raise UnknownEntityError("metric", metric_id) from None
-
-    def element(self, element_id: str) -> AgileElement:
-        try:
-            return self._element_index[element_id]
-        except KeyError:
-            raise UnknownEntityError("element", element_id) from None
-
-    def condition(self, condition_id: str) -> ImpactCondition:
-        try:
-            return self._condition_index[condition_id]
-        except KeyError:
-            raise UnknownEntityError("condition", condition_id) from None
-
-    def rule(self, rule_id: str) -> ImpactRule:
-        try:
-            return self._rule_index[rule_id]
-        except KeyError:
-            raise UnknownEntityError("rule", rule_id) from None
-
-    def profile(self, name: str) -> CulturalProfile:
-        try:
-            return self._profile_index[name]
-        except KeyError:
-            raise UnknownEntityError("profile", name) from None
+    #: The five lookups by id: kb.metric(id), .element, .condition, .rule and
+    #: .profile(name), each raising UnknownEntityError for an unknown id.
+    metric, element, condition, rule, profile = (_lookup(label) for _, label, _ in _INDEXED)
 
     def rules_for(self, element_id: str) -> tuple[ImpactRule, ...]:
         """Rules targeting one element, sorted by rule id."""

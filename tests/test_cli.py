@@ -10,6 +10,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import moca
 from moca import engine, kb as kb_mod
-from moca.cli import _cell_token, _json_text, _matrix_csv, main
+from moca.cli import _blocks, _cell_token, _json_chunks, _matrix_csv, main
 from moca.kb import seed_dir
 
 from strategies import knowledge_bases
@@ -426,7 +427,7 @@ class TestMatrix:
             writer.writerow([metric_id, *(
                 ";".join(_cell_token(e) for e in matrix.cells.get((metric_id, element), ()))
                 for element in matrix.elements)])
-        assert _matrix_csv(matrix) == buffer.getvalue()
+        assert "".join(_blocks(_matrix_csv(matrix))) == buffer.getvalue()
 
 
 class TestDiff:
@@ -605,6 +606,58 @@ class TestOutputFailure:
             pytest.fail("KeyboardInterrupt escaped main()")
         assert (code, out, err) == (130, "", "")
         assert list(tmp_path.iterdir()) == []
+
+    def test_write_error_after_the_first_chunk(self, run, monkeypatch, tmp_path):
+        """What was written before the failure stays; the rest is dropped."""
+        monkeypatch.setattr(moca.cli, "_SLICE", 1)
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        written = []
+
+        class FullAfterOneWrite(io.StringIO):
+            def write(self, text):
+                if written:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(text)
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", FullAfterOneWrite())
+        try:
+            code, _, err = run("validate")
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.ENOSPC)}\n")
+        assert written == ["metrics: 8\n"]
+
+    @pytest.mark.parametrize("existing", [None, b"kept as it was\n"])
+    @pytest.mark.parametrize("argv", [("validate",), ("validate", "--format", "json"),
+                                      ("matrix", "--format", "json")])
+    def test_interrupt_between_chunks_leaves_out_as_it_was(self, run, monkeypatch, tmp_path,
+                                                           argv, existing):
+        monkeypatch.setattr(moca.cli, "_SLICE", 1)
+        chunks_of = {name: getattr(moca.cli, name) for name in ("_blocks", "_json_chunks")}
+        made = []
+
+        def interrupted(name):
+            def chunks(*args):
+                pieces = chunks_of[name](*args)
+                made.append(next(pieces))
+                yield made[-1]
+                raise KeyboardInterrupt
+            return chunks
+
+        for name in chunks_of:
+            monkeypatch.setattr(moca.cli, name, interrupted(name))
+        target = tmp_path / "out.txt"
+        if existing is not None:
+            target.write_bytes(existing)
+        code, out, err = run(*argv, "--out", str(target))
+        assert (code, out, err, len(made)) == (130, "", "", 1)
+        assert list(tmp_path.iterdir()) == ([] if existing is None else [target])
+        if existing is not None:
+            assert target.read_bytes() == existing
 
 
 class TestNonUtf8FileName:
@@ -812,6 +865,10 @@ def _dumps(value):
     return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
 
+def _json_text(value):
+    return "".join(_json_chunks(value))
+
+
 _json_strings = st.text(st.sampled_from('ab"\\\n\x1e\x00\u2028é中{}[],: 0') | st.characters(),
                         max_size=8)
 _json_scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
@@ -833,6 +890,23 @@ _json_values = st.recursive(
 @given(value=_json_values)
 def test_json_text_is_json_dumps_byte_for_byte(value):
     assert _json_text(value) == _dumps(value)
+
+
+def _lazy(value):
+    """The value with each list reached through dicts made an iterator."""
+    if isinstance(value, dict):
+        return {key: _lazy(member) for key, member in value.items()}
+    return iter(value) if isinstance(value, list) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values, size=st.integers(1, 5) | st.just(2000))
+def test_json_chunks_join_to_json_dumps_at_any_slice_size(value, size):
+    with unittest.mock.patch.object(moca.cli, "_SLICE", size):
+        chunks = list(_json_chunks(value))
+        assert "".join(chunks) == _dumps(value)
+        assert "".join(_json_chunks(_lazy(value))) == _dumps(value)
+    assert all(chunks)
 
 
 @pytest.mark.parametrize("value", [

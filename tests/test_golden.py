@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import moca.cli
 from moca.cli import main
 from moca.dsl import parse_errors
 from moca.kb import seed_dir, seed_kb_paths
@@ -119,6 +120,16 @@ def test_golden_output(case):
     assert code == codes[case]
     assert out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
     assert err.encode("utf-8") == (GOLDEN / f"{case}.err").read_bytes()
+
+
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize("case", ["seed_validate", "seed_validate_json", "seed_matrix_json",
+                                  "synthetic_validate_json"])
+def test_golden_output_in_small_slices(case, size, monkeypatch):
+    """At the real slice size these outputs fit in one slice; small slices
+    make them cross many slice boundaries."""
+    monkeypatch.setattr(moca.cli, "_SLICE", size)
+    test_golden_output(case)
 
 
 def parse_error_rows() -> dict:

@@ -98,6 +98,14 @@ class TestSeedKb:
         with pytest.raises(UnknownEntityError) as raised:
             getattr(seed_kb, kind)(missing)
         assert (raised.value.kind, raised.value.entity_id) == (kind, missing)
+        assert str(raised.value) == f"unknown {kind} '{missing}'"
+
+    @pytest.mark.parametrize("field, kind, key", kb_mod._INDEXED)
+    def test_lookup_finds_every_entity(self, seed_kb, field, kind, key):
+        entities = getattr(seed_kb, field)
+        assert entities
+        for entity in entities:
+            assert getattr(seed_kb, kind)(getattr(entity, key)) is entity
 
 
 class TestLoadFailures:
