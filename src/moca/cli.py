@@ -17,8 +17,8 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import engine
 from . import kb as kb_mod
 from .kb import Finding, KnowledgeBase, ValidationReport
 from .model import (
@@ -35,6 +35,9 @@ from .model import (
     check_thresholds,
     _gc_paused,
 )
+
+if TYPE_CHECKING:  # the commands that evaluate import it; validate and explain never do
+    from . import engine
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -281,6 +284,7 @@ def _profile(profiles: dict[str, CulturalProfile], name: str | None) -> Cultural
 
 def _context(args: argparse.Namespace, profile: CulturalProfile,
              flags: Sequence[str]) -> engine.EvaluationContext:
+    from . import engine
     return engine.EvaluationContext(profile, frozenset(flags), args.thresholds, args.element)
 
 
@@ -336,6 +340,7 @@ def _validate_text(kb: KnowledgeBase | None, report: ValidationReport,
 # --- evaluate ---------------------------------------------------------------
 
 def cmd_evaluate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    from . import engine
     kb = _require_kb(args)
     profile = _profile(_profiles(kb, args), args.profile)
     assessments = engine.evaluate(kb, _context(args, profile, args.flag))
@@ -391,6 +396,7 @@ def _assessments_text(kb: KnowledgeBase,
 # --- matrix -----------------------------------------------------------------
 
 def cmd_matrix(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    from . import engine
     matrix = engine.export_matrix(_require_kb(args))
     if args.format == "json":
         return EXIT_OK, _json_chunks(_matrix_json(matrix))  # a row, or a slice of one, a chunk
@@ -496,6 +502,7 @@ def _explain_json(kb: KnowledgeBase, rule: ImpactRule) -> dict:
 # --- diff -------------------------------------------------------------------
 
 def cmd_diff(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    from . import engine
     kb = _require_kb(args)
     profiles = _profiles(kb, args)
     ctx_a = _context(args, _profile(profiles, args.profile_a or args.profile),

@@ -161,6 +161,9 @@ class MatrixExport:
     def __post_init__(self):
         object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
 
+    def __reduce__(self):  # a mapping proxy cannot be copied or pickled
+        return type(self), (self.metrics, self.elements, dict(self.cells))
+
     @cached_property
     def _grid(self) -> tuple[frozenset[str], frozenset[str]]:
         return frozenset(self.metrics), frozenset(self.elements)

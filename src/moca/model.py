@@ -249,6 +249,9 @@ class CulturalProfile:
             check_metric_value(value, context=f"profile {self.name!r} value for {metric_id}")
         object.__setattr__(self, "values", MappingProxyType(values))
 
+    def __reduce__(self):  # a mapping proxy cannot be copied or pickled
+        return type(self), (self.name, dict(self.values))
+
 
 @_record
 class AgileElement:

@@ -953,11 +953,26 @@ def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(monkeypatch,
     assert 0 < len(calls) <= 10
 
 
-def test_importing_the_cli_leaves_tempfile_unloaded():
-    """Only a regular --out file needs tempfile, so only that branch imports
-    it. -S keeps out site hooks, some of which import tempfile themselves."""
+_ENGINE_AFTER = ("import moca.cli, sys; assert moca.cli.main({argv!r}) == 0; "
+                 "assert ('moca.engine' in sys.modules) is {loaded}")
+
+
+@pytest.mark.parametrize("script", [
+    pytest.param("import moca.cli, sys; assert 'tempfile' not in sys.modules", id="cli-tempfile"),
+    pytest.param("import moca, sys; assert not [m for m in sys.modules if m.startswith('moca.')]",
+                 id="package-submodules"),
+    pytest.param(_ENGINE_AFTER.format(argv=["validate"], loaded=False), id="validate-engine"),
+    pytest.param(_ENGINE_AFTER.format(argv=["explain", "H6"], loaded=False), id="explain-engine"),
+    pytest.param(_ENGINE_AFTER.format(argv=["evaluate", "--profile", "strong_hierarchy"],
+                                      loaded=True), id="evaluate-loads-engine"),
+])
+def test_start_up_leaves_unused_modules_unloaded(script):
+    """Only a regular --out file needs tempfile, and only the commands that
+    evaluate need the engine, so nothing else imports them; a bare `import
+    moca` imports no submodule. -S keeps out site hooks, some of which import
+    tempfile themselves."""
     env = {**os.environ, "PYTHONPATH": str(Path(moca.__file__).parents[1])}
-    child = subprocess.run(
-        [sys.executable, "-S", "-c", "import moca.cli, sys; assert 'tempfile' not in sys.modules"],
-        env=env, timeout=60)
-    assert child.returncode == 0
+    child = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                           timeout=60)
+    assert child.returncode == 0, child.stderr

@@ -1,8 +1,10 @@
 """The value-type contract: moca's result and entity records are immutable,
 slotted dataclasses whose constructors behave like dataclass(frozen=True)'s."""
 
+import copy
 import dataclasses
 import inspect
+import pickle
 
 import pytest
 
@@ -131,3 +133,19 @@ def test_rule_polarity_is_outside_repr_and_equality():
     assert "polarity" not in repr(rule)
     assert rule == flipped and hash(rule) == hash(flipped)
     assert "polarity" not in inspect.signature(ImpactRule).parameters
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_records_copy_and_pickle(copier, seed_kb):
+    matrix = engine.export_matrix(seed_kb)
+    for value in [*(make() for make in SAMPLES.values()), seed_kb, matrix]:
+        twin = copier(value)
+        assert type(twin) is type(value) and twin == value, type(value).__name__
+    twin = copier(matrix)
+    assert twin.cell_count == matrix.cell_count
+    assert all(twin.cell(*key) == entries for key, entries in matrix.cells.items())
+    twin = copier(seed_kb)
+    assert twin.rule("H6") == seed_kb.rule("H6")
+    assert twin.rules_for("daily_meeting") == seed_kb.rules_for("daily_meeting")
