@@ -20,16 +20,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import kb as kb_mod
+from .dsl import _emit_term
 from .kb import Finding, KnowledgeBase, ValidationReport
 from .model import (
     ConfigurationError,
-    ContextFlag,
     CulturalProfile,
     DEFAULT_THRESHOLDS,
     ElementKind,
+    ImpactCondition,
     ImpactRule,
     ImpactSign,
-    Level,
     MocaError,
     UnknownEntityError,
     check_thresholds,
@@ -54,18 +54,17 @@ class CliError(MocaError):
         self.exit_code = exit_code
 
 
-def resolve_kb_paths(kb_args: Sequence[str] | None) -> tuple[Path, ...]:
+def resolve_kb_paths(kb_args: Sequence[str | Path | None] | None) -> tuple[Path, ...]:
     """KB files from --kb arguments, $MOCA_KB_PATH, or the bundled seed KB.
 
     Arguments and search-path entries may be files or directories;
-    directories contribute their .json and .moca files.
+    directories contribute their .json and .moca files. An empty argument or
+    entry counts as not given.
     """
-    if kb_args:
-        roots = [Path(arg) for arg in kb_args]
-    else:
+    roots = [Path(arg) for arg in kb_args or () if arg]
+    if not roots:
         env = os.environ.get("MOCA_KB_PATH", "")
-        parts = [part for part in env.split(os.pathsep) if part]
-        roots = [Path(part) for part in parts] if parts else [kb_mod.seed_dir()]
+        roots = [Path(part) for part in env.split(os.pathsep) if part] or [kb_mod.seed_dir()]
     paths: list[Path] = []
     for root in roots:
         paths.extend(kb_mod.expand_kb_path(root))
@@ -334,7 +333,7 @@ def _validate_text(kb: KnowledgeBase | None, report: ValidationReport,
         if kb.manifest is not None:
             yield "manifest: counts confirmed"
     yield from map(_finding_line, report.findings)
-    yield f"result: {len(errors)} error(s), {len(report.warnings)} warning(s)"
+    yield f"result: {len(errors)} error(s), {len(report.findings) - len(errors)} warning(s)"
 
 
 # --- evaluate ---------------------------------------------------------------
@@ -383,7 +382,7 @@ def _assessments_text(kb: KnowledgeBase,
         for c in a.contributions:
             rule = kb.rule(c.rule_id)
             detail = (f"  fired: {c.rule_id} {c.value:+d} "
-                      f"[{c.fired_level.value.upper()} {rule.metric}]")
+                      f"[{c.fired_level.name} {rule.metric}]")
             if rule.rationale:
                 detail += f" because {rule.rationale}"
             yield detail
@@ -445,48 +444,27 @@ def _matrix_json(matrix: engine.MatrixExport) -> dict:
 def cmd_explain(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     kb = _require_kb(args)
     rule = kb.rule(args.rule_id)
+    condition = None if rule.condition is None else kb.condition(rule.condition)
     if args.format == "json":
-        return EXIT_OK, _json_chunks(_explain_json(kb, rule))
-    return EXIT_OK, _blocks(_explain_text(kb, rule))
+        return EXIT_OK, _json_chunks(_explain_json(rule, condition))
+    return EXIT_OK, _blocks(_explain_text(rule, condition))
 
 
-def _term_text(term) -> str:
-    if isinstance(term, ContextFlag):
-        return f"FLAG {term.flag}"
-    return f"{term.level.value.upper()} {term.metric}"
-
-
-def _rule_notation(kb: KnowledgeBase, rule: ImpactRule) -> str:
-    level = "HIGH" if rule.stated_level is Level.HIGH else "LOW"
-    sign = "+" if rule.sign is ImpactSign.POSITIVE else "-"
-    head = f"{level}({rule.metric}) ->({sign}) {rule.element}"
-    if rule.condition is None:
-        return head
-    condition = kb.condition(rule.condition)
-    return f"IF ({condition.id}: {condition.description}) THEN {head}"
-
-
-def _explain_text(kb: KnowledgeBase, rule: ImpactRule) -> Iterator[str]:
+def _explain_text(rule: ImpactRule, condition: ImpactCondition | None) -> Iterator[str]:
     yield f"{rule.id}: {rule.title}" if rule.title else rule.id
-    if rule.condition is None:
+    sign = "+" if rule.sign is ImpactSign.POSITIVE else "-"
+    notation = f"{rule.stated_level.name}({rule.metric}) ->({sign}) {rule.element}"
+    if condition is None:
         yield "  No precondition"
-    yield f"  {_rule_notation(kb, rule)}"
-    if rule.condition is not None:
-        condition = kb.condition(rule.condition)
-        yield f"  condition {condition.id}: {' AND '.join(map(_term_text, condition.terms))}"
+        yield f"  {notation}"
+    else:
+        yield f"  IF ({condition.id}: {condition.description}) THEN {notation}"
+        yield f"  condition {condition.id}: {' AND '.join(map(_emit_term, condition.terms))}"
     if rule.rationale:
         yield f"  rationale: {rule.rationale}"
 
 
-def _explain_json(kb: KnowledgeBase, rule: ImpactRule) -> dict:
-    condition = None
-    if rule.condition is not None:
-        cond = kb.condition(rule.condition)
-        condition = {
-            "id": cond.id,
-            "description": cond.description,
-            "terms": [_term_text(t) for t in cond.terms],
-        }
+def _explain_json(rule: ImpactRule, condition: ImpactCondition | None) -> dict:
     return {
         "id": rule.id,
         "title": rule.title,
@@ -494,7 +472,11 @@ def _explain_json(kb: KnowledgeBase, rule: ImpactRule) -> dict:
         "stated_level": rule.stated_level.value,
         "sign": rule.sign.value,
         "element": rule.element,
-        "condition": condition,
+        "condition": None if condition is None else {
+            "id": condition.id,
+            "description": condition.description,
+            "terms": [_emit_term(t) for t in condition.terms],
+        },
         "rationale": rule.rationale,
     }
 
@@ -555,7 +537,7 @@ def _path_arg(text: str) -> Path | None:
 
 def _add_kb_options(p: argparse.ArgumentParser, formats: tuple[str, ...],
                     default_format: str):
-    p.add_argument("--kb", action="append", metavar="PATH",
+    p.add_argument("--kb", action="append", type=_path_arg, metavar="PATH",
                    help="knowledge-base file or directory, repeatable "
                         "(default: $MOCA_KB_PATH, then the bundled seed KB)")
     p.add_argument("--format", choices=formats, default=default_format,

@@ -211,8 +211,8 @@ def _parse_rule_line(p: _LineParser) -> ImpactRule:
         id=rule_id,
         title=title,
         metric=metric,
-        stated_level=Level.HIGH if stated == "HIGH" else Level.LOW,
-        sign=ImpactSign.POSITIVE if sign == "POSITIVE" else ImpactSign.NEGATIVE,
+        stated_level=_MEMBERS[stated],
+        sign=_MEMBERS[sign],
         element=element,
         condition=condition,
         rationale=rationale,
@@ -230,7 +230,7 @@ def _parse_condition_line(p: _LineParser) -> ImpactCondition:
             terms.append(ContextFlag(p.expect("ident", what="flag identifier")))
         else:
             metric = p.expect("ident", what="metric identifier")
-            terms.append(MetricPredicate(metric, Level.HIGH if kw == "HIGH" else Level.LOW))
+            terms.append(MetricPredicate(metric, _MEMBERS[kw]))
         if not p.accept("keyword", "AND"):
             break
     return ImpactCondition(id=cond_id, description=description, terms=tuple(terms))
@@ -320,11 +320,11 @@ def _emit_rule(rule: ImpactRule) -> str:
     if rule.condition is not None:
         body += ["IF", _emit_ident(rule.condition, "condition reference"), "THEN"]
     body += [
-        "HIGH" if rule.stated_level is Level.HIGH else "LOW",
+        rule.stated_level.name,
         _emit_ident(rule.metric, "metric reference"),
         "IMPACTS",
         _emit_ident(rule.element, "element reference"),
-        "POSITIVE" if rule.sign is ImpactSign.POSITIVE else "NEGATIVE",
+        rule.sign.name,
     ]
     if rule.rationale:
         body += ["BECAUSE", _emit_string(rule.rationale, "rationale")]
@@ -334,8 +334,7 @@ def _emit_rule(rule: ImpactRule) -> str:
 def _emit_term(term: ConditionTerm) -> str:
     if isinstance(term, ContextFlag):
         return f"FLAG {_emit_ident(term.flag, 'flag')}"
-    keyword = "HIGH" if term.level is Level.HIGH else "LOW"
-    return f"{keyword} {_emit_ident(term.metric, 'metric reference')}"
+    return f"{term.level.name} {_emit_ident(term.metric, 'metric reference')}"
 
 
 def _emit_condition(cond: ImpactCondition) -> str:

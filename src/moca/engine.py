@@ -29,9 +29,8 @@ hold no reference cycles, so reference counting frees them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import field
 from enum import Enum
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -44,7 +43,8 @@ from .model import (
     Level,
     check_thresholds,
     level_of,
-    level_sign,
+    _HIGH,
+    _MEDIUM,
     _gc_paused,
     _record,
     # Not called here. bench/run.py counts the calls made through
@@ -143,7 +143,7 @@ class MatrixEntry:
     condition: str | None
 
 
-@dataclass(frozen=True)
+@_record
 class MatrixExport:
     """The full (metric x matrix-eligible element) grid.
 
@@ -157,16 +157,14 @@ class MatrixExport:
     metrics: tuple[str, ...]
     elements: tuple[str, ...]
     cells: Mapping[tuple[str, str], tuple[MatrixEntry, ...]]
+    _grid: tuple[frozenset[str], frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+        object.__setattr__(self, "_grid", (frozenset(self.metrics), frozenset(self.elements)))
 
     def __reduce__(self):  # a mapping proxy cannot be copied or pickled
         return type(self), (self.metrics, self.elements, dict(self.cells))
-
-    @cached_property
-    def _grid(self) -> tuple[frozenset[str], frozenset[str]]:
-        return frozenset(self.metrics), frozenset(self.elements)
 
     def cell(self, metric_id: str, element_id: str) -> tuple[MatrixEntry, ...]:
         """Entries of one cell, () when uncovered; KeyError outside the grid."""
@@ -183,28 +181,26 @@ class RuleOutcome:
     """One rule's bucket in one scenario; only the 11 interned values below
     exist, so outcomes compare by identity. Unfired outcomes have value 0."""
 
-    __slots__ = ("bucket", "value", "fired_level", "condition_status")
+    __slots__ = ("value", "fired_level", "condition_status")
 
-    def __init__(self, bucket: str, value: int = 0, fired_level: Level | None = None,
+    def __init__(self, value: int = 0, fired_level: Level | None = None,
                  condition_status: ConditionStatus | None = None):
-        self.bucket, self.value = bucket, value
+        self.value = value
         self.fired_level, self.condition_status = fired_level, condition_status
 
 
-_INDETERMINATE = RuleOutcome("indeterminate")
-_DORMANT = RuleOutcome("dormant")
-_GATED = RuleOutcome("gated")
+_INDETERMINATE = RuleOutcome()
+_DORMANT = RuleOutcome()
+_GATED = RuleOutcome()
 # Keyed by (level is HIGH, rule has a condition, polarity): bools and ints
 # hash in C, enum members through a Python-level __hash__.
 _FIRED = {
     (level is Level.HIGH, status is ConditionStatus.SATISFIED, polarity): RuleOutcome(
-        "fired", polarity * level_sign(level), level, status)
-    for level in (Level.LOW, Level.HIGH)
+        polarity * sign, level, status)
+    for level, sign in ((Level.LOW, -1), (Level.HIGH, 1))
     for status in ConditionStatus
     for polarity in (1, -1)
 }
-_HIGH = Level.HIGH
-_MEDIUM = Level.MEDIUM
 
 
 class _Scenario:

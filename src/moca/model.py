@@ -389,15 +389,6 @@ def level_of(value: int, thresholds: Sequence[int] = DEFAULT_THRESHOLDS) -> Leve
     return Level.MEDIUM
 
 
-def level_sign(level: Level) -> int:
-    """+1 for HIGH, -1 for LOW. MEDIUM carries no sign."""
-    if level is Level.HIGH:
-        return 1
-    if level is Level.LOW:
-        return -1
-    raise ValueError("MEDIUM has no sign")
-
-
 def normalize(rule: ImpactRule) -> NormalizedRule:
     """Reduce a rule to its polarity (see ImpactRule)."""
     return NormalizedRule(

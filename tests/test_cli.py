@@ -166,6 +166,16 @@ class TestEvaluate:
         assert code == 2
         assert "--profile is required" in err
 
+    def test_only_profile_needs_no_name(self, run, tmp_path):
+        shutil.copytree(seed_dir(), tmp_path, dirs_exist_ok=True)
+        (tmp_path / "profiles.json").write_text(json.dumps(
+            [{"name": "custom", "values": {"UAI": 90}}]))
+        argv = ("evaluate", "--kb", str(tmp_path), "--element", "planning_meeting")
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("planning_meeting: positive (H4)\n")
+        assert run(*argv, "--profile", "custom") == (code, out, err)
+
     def test_profile_file_overrides(self, run, tmp_path):
         profile_file = tmp_path / "extra.json"
         profile_file.write_text(json.dumps(
@@ -479,6 +489,15 @@ class TestKbResolution:
         monkeypatch.setenv("MOCA_KB_PATH", str(tmp_path / "nowhere"))
         code, _, _ = run("validate", "--kb", str(seed_dir()))
         assert code == 0
+
+    def test_empty_kb_counts_as_not_given(self, run, monkeypatch, tmp_path):
+        # an empty --kb must not read the current directory
+        (tmp_path / "broken.moca").write_text("RULE broken\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        plain = run("validate")
+        assert plain[0] == 0 and "matrix domain: 384 cells" in plain[1]
+        assert run("validate", "--kb", "") == plain
+        assert run("validate", "--kb", "", "--kb", str(seed_dir())) == plain
 
     def test_inputs_never_mutated(self, run, tmp_path):
         kb_dir = tmp_path / "kb"

@@ -165,6 +165,16 @@ class TestSerialize:
         with pytest.raises(ValueError):
             serialize(RuleDocument(entries=(rule,)))
 
+    @pytest.mark.parametrize("entry, message", [
+        (Comment(" a\nb"), "comment cannot contain line breaks: ' a\\nb'"),
+        (Comment(" a\rb"), "comment cannot contain line breaks: ' a\\rb'"),
+        (ContextFlag("f"), "unsupported document entry: ContextFlag(flag='f')"),
+    ], ids=["comment-lf", "comment-cr", "not-an-entry"])
+    def test_unserializable_entry_rejected(self, entry, message):
+        with pytest.raises(ValueError) as info:
+            serialize(RuleDocument(entries=(entry,)))
+        assert str(info.value) == message
+
     def test_keyword_identifier_rejected(self):
         cond = ImpactCondition(id="IMPACTS", description="d",
                                terms=(ContextFlag("f"),))

@@ -254,9 +254,13 @@ class TestLoadFailures:
          "manifest roles must be a non-negative integer"),
         ({"a.json": EMPTY_MANIFEST, "b.json": EMPTY_MANIFEST}, "duplicate-manifest",
          None, "manifest already declared in "),
+        ({"m.json": 5}, "invalid-json", None, "top level must be an object or an array"),
+        ({"m.json": [MIN_METRICS[0], "PDI"]}, "invalid-entity", None,
+         "entry 1 must be an object, got 'PDI'"),
     ], ids=["id-not-a-string", "bad-enum", "enum-not-a-string", "methods-not-a-list",
             "methods-hold-a-number", "numeric-category", "values-not-an-object",
-            "bool-manifest-count", "two-manifests"])
+            "bool-manifest-count", "two-manifests", "scalar-top-level",
+            "entry-not-an-object"])
     def test_reader_failure(self, tmp_path, files, code, entity_id, message):
         (finding,) = load(write_files(tmp_path, files)).report.findings
         assert (finding.code, finding.entity_id) == (code, entity_id)

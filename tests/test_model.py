@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from moca.model import (
     AgileElement,
     ConfigurationError,
+    ContextFlag,
     CulturalMetric,
     CulturalProfile,
     CultureLevel,
@@ -17,7 +18,6 @@ from moca.model import (
     MetricSource,
     check_thresholds,
     level_of,
-    level_sign,
     normalize,
 )
 
@@ -65,6 +65,12 @@ class TestLevelOf:
 
     def test_check_thresholds_returns_pair(self):
         assert check_thresholds([49, 51]) == (49, 51)
+
+    @pytest.mark.parametrize("thresholds", [(33.0, 67), (33, True)])
+    def test_non_integer_thresholds_rejected(self, thresholds):
+        with pytest.raises(ConfigurationError) as info:
+            check_thresholds(thresholds)
+        assert str(info.value) == f"thresholds must be integers, got {thresholds!r}"
 
 
 def _rule(stated, sign, rule_id="R", metric="PDI", element="daily_meeting",
@@ -115,16 +121,6 @@ class TestNormalize:
                 == normalize(_rule(flipped_level, flipped_sign)).polarity)
 
 
-class TestLevelSign:
-    def test_signs(self):
-        assert level_sign(Level.HIGH) == 1
-        assert level_sign(Level.LOW) == -1
-
-    def test_medium_has_no_sign(self):
-        with pytest.raises(ValueError):
-            level_sign(Level.MEDIUM)
-
-
 class TestTypeInvariants:
     def test_metric_id_pattern(self):
         with pytest.raises(ValueError):
@@ -162,6 +158,19 @@ class TestTypeInvariants:
         profile = CulturalProfile("p", {"PDI": 10})
         with pytest.raises(TypeError):
             profile.values["PDI"] = 20
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ContextFlag("manager attends"),
+         "flag must be an identifier, got 'manager attends'"),
+        (lambda: MetricPredicate("P-DI", Level.HIGH),
+         "metric reference must be an identifier, got 'P-DI'"),
+        (lambda: ImpactCondition("1C", "d", (ContextFlag("f"),)),
+         "condition id must be an identifier, got '1C'"),
+    ], ids=["flag", "predicate-metric", "condition-id"])
+    def test_condition_identifier_messages(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_predicate_never_medium(self):
         with pytest.raises(ValueError):

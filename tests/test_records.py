@@ -18,6 +18,7 @@ from moca.engine import (
     EvaluationContext,
     ImpactLabel,
     MatrixEntry,
+    MatrixExport,
 )
 from moca.kb import ExpectedCounts, Finding, LoadResult, Severity, ValidationReport
 from moca.model import (
@@ -67,16 +68,18 @@ SAMPLES = {
     Assessment: lambda: Assessment("x", (), 0, ImpactLabel.NEUTRAL, ("H4",), ()),
     ElementDiff: lambda: ElementDiff("x", 0, -1, -1, ("H6",)),
     MatrixEntry: lambda: MatrixEntry("H6", Level.HIGH, ImpactSign.NEGATIVE, "IC1"),
+    MatrixExport: lambda: MatrixExport(("PDI",), ("coach", "daily_meeting"), {
+        ("PDI", "daily_meeting"): (MatrixEntry("H6", Level.HIGH, ImpactSign.NEGATIVE, "IC1"),)}),
     Comment: lambda: Comment("# note"),
     ParseError: lambda: ParseError(3, 7, "unexpected token", ("IMPACTS",)),
     RuleDocument: lambda: RuleDocument((_rule(), Comment("# c")), (1, 2)),
 }
 
 #: Frozen dataclasses that keep an instance __dict__ for their cached_property.
-CACHED = {kb.KnowledgeBase, engine.MatrixExport}
+CACHED = {kb.KnowledgeBase}
 
 #: Records holding a mapping proxy, which cannot be hashed.
-UNHASHABLE = {CulturalProfile, EvaluationContext}
+UNHASHABLE = {CulturalProfile, EvaluationContext, MatrixExport}
 
 
 def _defined_dataclasses():
