@@ -21,8 +21,7 @@ _EXPORTS = {
         "ElementKind", "ImpactCondition", "ImpactRule", "ImpactSign", "Level",
         "MATRIX_KINDS", "MetricPredicate", "MetricSource", "MocaError",
         "NormalizedRule", "UnknownEntityError", "level_of", "normalize"),
-    "dsl": ("Comment", "ParseError", "RuleDocument", "RuleSyntaxError", "parse",
-            "parse_errors", "serialize"),
+    "dsl": ("Comment", "ParseError", "RuleDocument", "RuleSyntaxError", "parse", "serialize"),
     "kb": (
         "ExpectedCounts", "Finding", "KnowledgeBase", "KnowledgeBaseError",
         "LoadResult", "Severity", "ValidationReport", "load", "load_kb",

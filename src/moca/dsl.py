@@ -294,12 +294,6 @@ def parse(source: str) -> RuleDocument:
     return RuleDocument(entries=tuple(entries), lines=tuple(lines))
 
 
-def parse_errors(source: str) -> tuple[ParseError, ...]:
-    """All syntax errors in the source; empty when it is well-formed."""
-    _, _, errors = _scan(source)
-    return tuple(errors)
-
-
 def _emit_string(value: str, what: str) -> str:
     if '"' in value or "\n" in value or "\r" in value:
         raise ValueError(f"{what} cannot contain quotes or line breaks: {value!r}")

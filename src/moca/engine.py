@@ -29,7 +29,7 @@ hold no reference cycles, so reference counting frees them.
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import field, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -276,13 +276,6 @@ def _assess(scenario: _Scenario, element_id: str) -> Assessment:
     )
 
 
-def evaluate_element(kb: KnowledgeBase, ctx: EvaluationContext,
-                     element_id: str) -> Assessment:
-    """Assess one element. Raises UnknownEntityError for unknown ids."""
-    kb.element(element_id)
-    return _assess(_Scenario(kb, ctx), element_id)
-
-
 def _selected_elements(kb: KnowledgeBase,
                        selection: Sequence[str] | None) -> tuple[str, ...]:
     if selection is None:
@@ -299,6 +292,12 @@ def evaluate(kb: KnowledgeBase, ctx: EvaluationContext) -> tuple[Assessment, ...
     scenario = _Scenario(kb, ctx)
     return tuple(_assess(scenario, element_id)
                  for element_id in _selected_elements(kb, ctx.elements))
+
+
+def evaluate_element(kb: KnowledgeBase, ctx: EvaluationContext,
+                     element_id: str) -> Assessment:
+    """`evaluate` over element_id alone, whatever ctx selects; raises UnknownEntityError."""
+    return evaluate(kb, replace(ctx, elements=(element_id,)))[0]
 
 
 @_gc_paused

@@ -77,15 +77,8 @@ class ValidationReport:
         return tuple(f for f in self.findings if f.severity is Severity.ERROR)
 
     @property
-    def warnings(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.severity is Severity.WARNING)
-
-    @property
     def has_errors(self) -> bool:
         return any(f.severity is Severity.ERROR for f in self.findings)
-
-    def merged(self, other: "ValidationReport") -> "ValidationReport":
-        return ValidationReport(self.findings + other.findings)
 
 
 @_record

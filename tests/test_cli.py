@@ -10,6 +10,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 import unittest.mock
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from moca.cli import _blocks, _cell_token, _json_chunks, _matrix_csv, main
 from moca.kb import seed_dir
 
 from strategies import knowledge_bases
-from util import write_kb
+from util import MIN_ELEMENTS, MIN_METRICS, write_kb
 
 
 @pytest.fixture(autouse=True)
@@ -39,15 +40,15 @@ def run(capsys):
     return _run
 
 
-def run_strict(*argv):
-    """main() with stdout and stderr as strict UTF-8 streams, as a real stdout
-    has: a StringIO would hide encode errors."""
-    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+def run_strict(*argv, encoding="utf-8"):
+    """main() with stdout a strict stream in `encoding` and stderr a strict
+    UTF-8 one, as a real stdout is strict: a StringIO would hide encode errors."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding=name) for name in (encoding, "utf-8"))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     for stream in (out, err):
         stream.flush()
-    return (code,) + tuple(stream.buffer.getvalue().decode("utf-8") for stream in (out, err))
+    return (code, out.buffer.getvalue().decode(encoding), err.buffer.getvalue().decode("utf-8"))
 
 
 EVAL_ARGS = ("evaluate", "--profile", "strong_hierarchy")
@@ -594,6 +595,19 @@ class TestOutputFailure:
         code, err = _run_child("validate", stdout=None, preexec_fn=lambda: os.close(1))
         assert (code, err) == (2, f"{CANNOT_WRITE}: it is closed\n")
 
+    def test_stdout_encoding_that_cannot_hold_a_kb_character(self, monkeypatch, tmp_path):
+        kb_dir = tmp_path / "kb"
+        shutil.copytree(seed_dir(), kb_dir)
+        rules = kb_dir / "rules.moca"
+        rules.write_text(rules.read_text(encoding="utf-8").replace(
+            'BECAUSE "steep hierarchies', 'BECAUSE "caf\u00e9: steep hierarchies'),
+            encoding="utf-8")
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        code, err = _run_child("explain", "H6", "--kb", str(kb_dir), stdout=subprocess.PIPE)
+        assert code == 2
+        assert err.startswith(f"{CANNOT_WRITE}: 'ascii' codec can't encode character '\\xe9'")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_write_error_in_process(self, run, monkeypatch, tmp_path):
         """The failed stream's descriptor is pointed at os.devnull, so the
         interpreter's final flush cannot fail again."""
@@ -876,6 +890,83 @@ def test_any_argv_ends_in_an_exit_code(tmp_path, case, json_format, out):
     if json_format and command in _OWN_OPTIONS:
         kb = kb_mod.load_kb(kb_mod.expand_kb_path(kb_dir))
         assert json.loads(stdout) == _library_payload(kb, command, options)
+
+
+#: KB text: what a rule-language string can carry, often non-ASCII or non-BMP.
+_KB_TEXT = st.text(st.sampled_from("\u00e9\u20ac\U0001f600\U00010348") | st.characters(
+    exclude_characters='"\n\r', exclude_categories=("Cs",)), min_size=1, max_size=12)
+_ENCODED_COMMANDS = (("validate",), ("evaluate", "--flag", "remote"), ("explain", "R1"),
+                     ("explain", "R2"), ("diff", "--flag-b", "remote"), ("matrix",))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.lists(_KB_TEXT, min_size=9, max_size=9),
+       dir_name=st.text(st.sampled_from("\u00e9\U0001f600") | st.characters(
+           exclude_characters="/\x00", exclude_categories=("Cs",)), max_size=8),
+       command=st.sampled_from(_ENCODED_COMMANDS), json_format=st.booleans(),
+       encoding=st.sampled_from(("ascii", "latin-1", "utf-8")))
+def test_any_stdout_encoding_ends_in_an_exit_code(tmp_path, text, dir_name, command,
+                                                  json_format, encoding):
+    """A KB whose strings and path a strict stdout encoding may not hold: every
+    command exits 0, or 2 with one error line after the output it could write."""
+    kb_dir = Path(tempfile.mkdtemp(dir=tmp_path)) / f"kb{dir_name}"
+    kb_dir.mkdir()
+    metrics = [{**metric, "name": name} for metric, name in zip(MIN_METRICS, text)]
+    elements = [{**element, "name": name} for element, name in zip(MIN_ELEMENTS, text[2:])]
+    elements.append({"id": "backlog", "name": text[4], "kind": "artifact"})
+    write_kb(kb_dir, metrics, elements, rules=(
+        f'CONDITION C1 "{text[5]}": FLAG remote\n'
+        f'RULE R1 "{text[6]}": HIGH PDI IMPACTS daily_meeting NEGATIVE BECAUSE "{text[7]}"\n'
+        f'RULE R2: IF C1 THEN LOW UAI IMPACTS coach POSITIVE BECAUSE "{text[8]}"\n'
+        "RULE R3: HIGH UAI IMPACTS backlog POSITIVE\n"),
+        manifest={"metrics": 2, "practices": 1, "roles": 1, "practice_categories": 1},
+        profiles=[{"name": text[0], "values": {"PDI": 90, "UAI": 10}}])
+    formats = ("csv", "json") if command[0] == "matrix" else ("text", "json")
+    argv = (*command, "--kb", str(kb_dir), "--format", formats[json_format])
+    expected = run_strict(*argv)
+    assert expected[0] == 0
+    code, out, err = run_strict(*argv, encoding=encoding)
+    if code == 0:
+        assert (code, out, err) == expected
+    else:
+        assert code == 2
+        assert err.startswith(f"{CANNOT_WRITE}: '{encoding}' codec can't encode character")
+        assert err.count("\n") == 1
+        assert expected[1].startswith(out) and len(out) < len(expected[1])
+
+
+#: The library functions the benchmark's traced run wraps, as module attributes,
+#: to time each layer: a command that bypassed one would leave its metric empty.
+_TRACED = {"kb": ("load", "validate_completeness"), "dsl": ("parse",),
+           "engine": ("evaluate", "diff", "export_matrix")}
+
+
+@pytest.mark.parametrize("argv,reached", [
+    (("validate",), {"kb.load", "dsl.parse", "kb.validate_completeness"}),
+    (EVAL_ARGS, {"kb.load", "dsl.parse", "engine.evaluate"}),
+    ((*EVAL_ARGS, "--element", "daily_meeting"), {"kb.load", "dsl.parse", "engine.evaluate"}),
+    (("explain", "H6"), {"kb.load", "dsl.parse"}),
+    (("diff", "--profile", "strong_hierarchy", "--flag-b", "manager_attends_meeting"),
+     {"kb.load", "dsl.parse", "engine.diff"}),
+    (("matrix",), {"kb.load", "dsl.parse", "engine.export_matrix"}),
+])
+def test_commands_reach_the_traced_module_attributes(run, monkeypatch, argv, reached):
+    calls = []
+    for module_name, names in _TRACED.items():
+        module = getattr(moca, module_name)
+        for name in names:
+            def counted(*args, _name=f"{module_name}.{name}",
+                        _original=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    assert run(*argv)[0] == 0
+    assert set(calls) == reached
+
+
+def test_engine_keeps_the_names_whose_calls_the_benchmark_counts():
+    assert callable(moca.engine.level_of) and callable(moca.engine.normalize)
 
 
 # --- JSON rendering -----------------------------------------------------------

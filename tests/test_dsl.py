@@ -12,7 +12,6 @@ from moca.dsl import (
     RuleDocument,
     RuleSyntaxError,
     parse,
-    parse_errors,
     serialize,
 )
 from moca.model import (
@@ -117,15 +116,18 @@ class TestParse:
         assert parse("") == RuleDocument()
 
     def test_errors_collected_across_lines(self):
-        errors = parse_errors("RULE : HIGH A IMPACTS b POSITIVE\n"
-                              + H4_LINE + "\n"
-                              "CONDITION C1: FLAG f\n")
+        with pytest.raises(RuleSyntaxError) as info:
+            parse("RULE : HIGH A IMPACTS b POSITIVE\n" + H4_LINE + "\n"
+                  "CONDITION C1: FLAG f\n")
+        errors = info.value.errors
         assert len(errors) == 2
         assert [e.line for e in errors] == [1, 3]
 
     @pytest.mark.parametrize("source,fragment", MALFORMED_LINES)
     def test_malformed_lines(self, source, fragment):
-        errors = parse_errors(source)
+        with pytest.raises(RuleSyntaxError) as info:
+            parse(source)
+        errors = info.value.errors
         assert any(fragment in e.message for e in errors)
         golden = json.loads(GOLDEN_PARSE_ERRORS.read_text(encoding="utf-8"))
         assert errors == tuple(ParseError(line, column, message, tuple(expected))
@@ -133,7 +135,9 @@ class TestParse:
                                in golden["lines"][source])
 
     def test_error_positions_are_one_based(self):
-        (err,) = parse_errors("RULE ?")
+        with pytest.raises(RuleSyntaxError) as info:
+            parse("RULE ?")
+        (err,) = info.value.errors
         assert err.line == 1
         assert err.column == 6
 
@@ -300,7 +304,7 @@ class TestRuleLineRegex:
             assert parsed.polarity == fast.polarity
         else:
             assert fast is None
-            assert parse_errors(line) == (parsed,)
+            assert dsl._scan(line)[2] == [parsed]
 
     def test_only_condition_lines_reach_the_parser(self, monkeypatch, seed_paths):
         """Every well-formed RULE line of the seed and synthetic KBs takes the

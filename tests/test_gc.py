@@ -115,14 +115,15 @@ def _calls(kb) -> dict:
         "load_kb": lambda: kb_mod.load_kb(SEED_PATHS),
         "validate_completeness": lambda: kb_mod.validate_completeness(kb),
         "evaluate": lambda: engine.evaluate(kb, ctx_a),
+        "evaluate_element": lambda: engine.evaluate_element(kb, ctx_b, "daily_meeting"),
         "diff": lambda: engine.diff(kb, ctx_a, ctx_b),
         "export_matrix": lambda: engine.export_matrix(kb),
         "main": lambda: _quiet_main(CASES["seed_validate_json"]),
     }
 
 
-CALL_NAMES = ("load", "load_kb", "validate_completeness", "evaluate", "diff",
-              "export_matrix", "main")
+CALL_NAMES = ("load", "load_kb", "validate_completeness", "evaluate", "evaluate_element",
+              "diff", "export_matrix", "main")
 
 
 def _raise_unknown_element(kb):

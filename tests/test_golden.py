@@ -31,7 +31,7 @@ import pytest
 
 import moca.cli
 from moca.cli import main
-from moca.dsl import parse_errors
+from moca.dsl import RuleSyntaxError, parse
 from moca.kb import seed_dir, seed_kb_paths
 
 from test_acceptance import _MUTATIONS
@@ -135,8 +135,9 @@ def test_golden_output_in_small_slices(case, size, monkeypatch):
 def parse_error_rows() -> dict:
     """Every pinned syntax error as [line, column, message, expected]."""
     def rows(source):
-        return [[e.line, e.column, e.message, list(e.expected)]
-                for e in parse_errors(source)]
+        with pytest.raises(RuleSyntaxError) as info:
+            parse(source)
+        return [[e.line, e.column, e.message, list(e.expected)] for e in info.value.errors]
 
     seed = next(p for p in seed_kb_paths() if p.suffix == ".moca").read_text()
     return {"mutations": {label: rows(mutate(seed)) for label, mutate in _MUTATIONS},

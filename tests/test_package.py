@@ -28,7 +28,7 @@ PUBLIC = {
     "diff": "engine", "evaluate": "engine", "evaluate_element": "engine",
     "export_matrix": "engine", "label_for": "engine", "level_of": "model", "load": "kb",
     "load_kb": "kb", "load_profiles": "kb", "normalize": "model", "parse": "dsl",
-    "parse_errors": "dsl", "seed_dir": "kb", "seed_kb_paths": "kb", "serialize": "dsl",
+    "seed_dir": "kb", "seed_kb_paths": "kb", "serialize": "dsl",
     "validate_completeness": "kb",
 }
 

@@ -152,3 +152,14 @@ def test_records_copy_and_pickle(copier, seed_kb):
     twin = copier(seed_kb)
     assert twin.rule("H6") == seed_kb.rule("H6")
     assert twin.rules_for("daily_meeting") == seed_kb.rules_for("daily_meeting")
+
+
+@pytest.mark.parametrize("spec", [
+    dataclasses.field(default_factory=list), dataclasses.field(default=0, init=False)],
+    ids=["default_factory", "defaulted_init_false"])
+def test_record_refuses_a_field_its_init_cannot_fill(spec):
+    with pytest.raises(TypeError, match="^Refused: _record takes no default_factory "
+                                        "and no init=False field with a default$"):
+        @model._record
+        class Refused:
+            value: int = spec
