@@ -36,13 +36,13 @@ from dataclasses import field
 from .model import (
     ConditionTerm,
     ContextFlag,
-    IDENT_RE,
     ImpactCondition,
     ImpactRule,
     ImpactSign,
     Level,
     MetricPredicate,
     MocaError,
+    _IDENT,
     _record,
 )
 
@@ -109,7 +109,7 @@ class RuleDocument:
         return tuple(e for e in self.entries if isinstance(e, ImpactCondition))
 
 
-_WORD = r"[A-Za-z][A-Za-z0-9_]*"  # a keyword or an identifier
+_WORD = _IDENT  # a keyword or an identifier
 
 #: The whole lexical grammar, tried at each position after spaces and tabs:
 #: a word, a quoted string, a colon, or, as the last resort, one character no
@@ -269,13 +269,15 @@ def _scan(source: str) -> tuple[list[DocumentEntry], list[int], list[ParseError]
         if not stripped:
             continue
         if stripped.startswith("#"):
-            entries.append(Comment(raw.lstrip()[1:]))
-            lines.append(line_no)
-            continue
-        try:
-            entry = _match_rule_line(raw) or _parse_line(raw, line_no)
-        except _LineError as exc:
-            errors.append(exc.error)
+            entry = Comment(raw.lstrip()[1:])
+        else:
+            try:
+                entry = _match_rule_line(raw) or _parse_line(raw, line_no)
+            except _LineError as exc:
+                errors.append(exc.error)
+                continue
+        if "\r" in raw:  # a lone CR, in a string or a comment: it cannot be written back
+            errors.append(ParseError(line_no, raw.index("\r") + 1, "unexpected character '\\r'"))
             continue
         entries.append(entry)
         lines.append(line_no)
@@ -301,7 +303,7 @@ def _emit_string(value: str, what: str) -> str:
 
 
 def _emit_ident(value: str, what: str) -> str:
-    if not IDENT_RE.match(value) or value in KEYWORDS:
+    if value in KEYWORDS:
         raise ValueError(f"{what} is not a serializable identifier: {value!r}")
     return value
 

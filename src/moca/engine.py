@@ -66,17 +66,12 @@ class ImpactLabel(Enum):
     STRONGLY_POSITIVE = "strongly_positive"
 
 
+_LABELS = tuple(ImpactLabel)
+
+
 def label_for(score: int) -> ImpactLabel:
     """Five-point label: <= -2, -1, 0, +1, >= +2."""
-    if score <= -2:
-        return ImpactLabel.STRONGLY_NEGATIVE
-    if score == -1:
-        return ImpactLabel.NEGATIVE
-    if score == 0:
-        return ImpactLabel.NEUTRAL
-    if score == 1:
-        return ImpactLabel.POSITIVE
-    return ImpactLabel.STRONGLY_POSITIVE
+    return _LABELS[max(-2, min(score, 2)) + 2]
 
 
 @_record
@@ -162,9 +157,6 @@ class MatrixExport:
     def __post_init__(self):
         object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
         object.__setattr__(self, "_grid", (frozenset(self.metrics), frozenset(self.elements)))
-
-    def __reduce__(self):  # a mapping proxy cannot be copied or pickled
-        return type(self), (self.metrics, self.elements, dict(self.cells))
 
     def cell(self, metric_id: str, element_id: str) -> tuple[MatrixEntry, ...]:
         """Entries of one cell, () when uncovered; KeyError outside the grid."""

@@ -17,7 +17,7 @@ slotted dataclasses built by ``_record``: assigning or deleting an attribute
 raises ``dataclasses.FrozenInstanceError``, and instances carry no
 ``__dict__``. moca builds them by the tens of thousands (rules, findings,
 matrix entries), so their constructor stores fields through the slot
-descriptors rather than through the frozen class's ``object.__setattr__``.
+descriptors. A copy or a pickle calls the constructor again.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 METRIC_ID_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+IDENT_RE = re.compile(_IDENT + r"\Z")
 
 #: Default level thresholds (t_low, t_high): value <= t_low is LOW,
 #: value >= t_high is HIGH, anything between is MEDIUM.
@@ -78,21 +79,26 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _reduce(record):
+    """Copy or pickle a record as a call to its constructor, which re-runs its
+    checks and derives its init=False fields; a read-only mapping goes as a dict."""
+    values = (getattr(record, name) for name in record.__match_args__)
+    return type(record), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
+
+
 def _record(cls):
-    """dataclass(frozen=True, slots=True), with an __init__ that stores each
-    field through its slot descriptor instead of the frozen class's
-    object.__setattr__, then calls __post_init__ if the class has one.
+    """dataclass(slots=True) with field-tuple equality and hashing, made
+    immutable here: assigning or deleting any attribute raises
+    FrozenInstanceError, and _reduce copies and pickles it.
 
     The __init__ is generated here, with the parameters, defaults and
-    annotations the dataclass's own would have; the dataclass builds none.
-    A default_factory or a defaulted init=False field would need code here
-    to fill it, so either is refused. A slotted instance has no other
-    attribute, so assigning or deleting any name raises FrozenInstanceError;
-    the dataclass's own methods raise TypeError for a name that is not a
-    field on CPython 3.11, as they test against the class as it was before
-    slots were added."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    annotations the dataclass's own would have; it stores each field
+    through its slot descriptor, then calls __post_init__ if the class has
+    one. A default_factory or a defaulted init=False field would need code
+    here to fill it, so either is refused."""
+    cls = dataclass(slots=True, init=False, unsafe_hash=True)(cls)
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__reduce__ = _reduce
     if any(f.default_factory is not MISSING or not (f.init or f.default is MISSING)
            for f in fields(cls)):
         raise TypeError(f"{cls.__name__}: _record takes no default_factory "
@@ -248,9 +254,6 @@ class CulturalProfile:
         for metric_id, value in values.items():
             check_metric_value(value, context=f"profile {self.name!r} value for {metric_id}")
         object.__setattr__(self, "values", MappingProxyType(values))
-
-    def __reduce__(self):  # a mapping proxy cannot be copied or pickled
-        return type(self), (self.name, dict(self.values))
 
 
 @_record

@@ -152,6 +152,10 @@ def test_records_copy_and_pickle(copier, seed_kb):
     twin = copier(seed_kb)
     assert twin.rule("H6") == seed_kb.rule("H6")
     assert twin.rules_for("daily_meeting") == seed_kb.rules_for("daily_meeting")
+    # A copy is a constructor call: a forged derived field is recomputed.
+    forged = _rule()
+    object.__setattr__(forged, "polarity", -forged.polarity)
+    assert copier(forged).polarity == _rule().polarity == -1
 
 
 @pytest.mark.parametrize("spec", [
