@@ -120,7 +120,7 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]):
 
 _CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-#: Members per encoder call in a long or lazy container; lines per text chunk.
+#: Members per encoder call in a long or lazy container; findings or lines per chunk.
 _SLICE = 2000
 
 
@@ -223,17 +223,6 @@ def _finding_line(finding: Finding) -> str:
     return line + _where(finding)
 
 
-def _finding_json(finding: Finding) -> dict:
-    return {
-        "severity": finding.severity.value,
-        "code": finding.code,
-        "message": finding.message,
-        "entity_id": finding.entity_id,
-        "path": finding.path,
-        "line": finding.line,
-    }
-
-
 def _report_exit_code(errors: Sequence[Finding]) -> int:
     """The exit code for a report's error findings."""
     if any(f.code in _INPUT_ERROR_CODES for f in errors):
@@ -300,10 +289,9 @@ def cmd_validate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         findings += kb_mod.validate_completeness(result.kb).findings
     if args.format == "text":
         return _report_exit_code(errors), _blocks(_validate_text(result.kb, findings, errors))
-    return _report_exit_code(errors), _json_chunks({
-        "valid": not errors,
-        "summary": _kb_summary(result.kb) if result.kb is not None else None,
-        "findings": map(_finding_json, findings)})  # made a slice at a time
+    # The summary is made now, so the KB is not held while the findings are written.
+    summary = _kb_summary(result.kb) if result.kb is not None else None
+    return _report_exit_code(errors), _validate_json(summary, findings, errors)
 
 
 def _kb_summary(kb: KnowledgeBase) -> dict:
@@ -320,6 +308,29 @@ def _kb_summary(kb: KnowledgeBase) -> dict:
         "matrix_cells": len(kb.metrics) * len(kb.rule_eligible_elements),
         "manifest_declared": kb.manifest is not None,
     }
+
+
+def _validate_json(summary: dict | None, findings: Sequence[Finding],
+                   errors: Sequence[Finding]) -> Iterator[str]:
+    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` of validate's
+    payload. "valid" and "summary" go through _json_chunks; every finding is laid
+    out by one fixed template, its strings escaped by the escaper json.dumps
+    uses, _SLICE findings a chunk."""
+    head = "".join(_json_chunks({"valid": not errors, "summary": summary, "findings": []}))
+    if not findings:
+        yield head
+        return
+    yield head[:-len("[]\n}\n")] + "[\n"
+    quote = json.encoder.encode_basestring
+    for start in range(0, len(findings), _SLICE):
+        yield (",\n" if start else "") + ",\n".join([
+            f'    {{\n      "severity": {quote(f.severity.value)},\n'
+            f'      "code": {quote(f.code)},\n      "message": {quote(f.message)},\n'
+            f'      "entity_id": {"null" if f.entity_id is None else quote(f.entity_id)},\n'
+            f'      "path": {"null" if f.path is None else quote(f.path)},\n'
+            f'      "line": {"null" if f.line is None else str(f.line)}\n    }}'
+            for f in findings[start:start + _SLICE]])
+    yield "\n  ]\n}\n"
 
 
 def _validate_text(kb: KnowledgeBase | None, findings: Sequence[Finding],

@@ -13,7 +13,8 @@ Loading is deterministic and independent of the order paths are given in.
 Constructing a KnowledgeBase is the one validity gate: unique ids,
 references across the whole file set and a manifest's declared counts are
 checked there, and a file set with any error-severity finding never
-produces a knowledge base. validate_completeness adds coverage warnings.
+produces a knowledge base. validate_completeness adds a coverage warning for
+each matrix cell no rule covers, once a manifest declares the matrix.
 
 load and validate_completeness pause Python's cyclic garbage collector while
 they run and then restore its previous state: the rules and findings they
@@ -265,22 +266,19 @@ def validate_completeness(kb: KnowledgeBase) -> ValidationReport:
     """Manifest-gated coverage check.
 
     With a manifest present, reports every uncovered (metric,
-    matrix-eligible element) cell as a Warning; a partial rule set is legal.
-    Without a manifest the report is empty. The declared counts need no
-    check here: construction already enforced them.
+    matrix-eligible element) cell as an uncovered-cell Warning with entity_id
+    "METRIC:ELEMENT", in metric order, then element-id order, built in one
+    pass over the cells; a partial rule set is legal. Without a manifest the
+    report is empty. Construction already enforced the declared counts.
     """
     if kb.manifest is None:
         return ValidationReport(())
-    findings = []
     covered = {(r.metric, r.element) for r in kb.rules}
-    for metric in kb.metrics:
-        for element in kb.rule_eligible_elements:
-            if (metric.id, element.id) not in covered:
-                findings.append(Finding(
-                    Severity.WARNING, "uncovered-cell",
-                    f"no rule covers ({metric.id}, {element.id})",
-                    entity_id=f"{metric.id}:{element.id}"))
-    return ValidationReport(tuple(findings))
+    element_ids = [e.id for e in kb.rule_eligible_elements]
+    return ValidationReport(tuple([
+        Finding(Severity.WARNING, "uncovered-cell", f"no rule covers ({m}, {e})", f"{m}:{e}")
+        for m in [metric.id for metric in kb.metrics] for e in element_ids
+        if (m, e) not in covered]))
 
 
 @_record

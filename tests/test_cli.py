@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import moca
 from moca import engine, kb as kb_mod
-from moca.cli import _blocks, _cell_token, _json_chunks, _matrix_csv, main
-from moca.kb import seed_dir
+from moca.cli import _blocks, _cell_token, _json_chunks, _matrix_csv, _validate_json, main
+from moca.kb import Finding, Severity, seed_dir
 
 from strategies import knowledge_bases
 from util import MIN_ELEMENTS, MIN_METRICS, write_kb
@@ -1043,8 +1043,9 @@ def test_json_text_rejects_what_json_dumps_rejects(value):
 
 
 def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(monkeypatch, run):
-    """One call encodes every finding, not one call each: a renderer that fell
-    back to a call per object would still pass every golden."""
+    """The encoder lays out "valid" and "summary" in a few calls, and no
+    finding: a renderer that fell back to a call per finding would still pass
+    every golden."""
     calls = []
     encoder = moca.cli._encoder
 
@@ -1061,6 +1062,56 @@ def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(monkeypatch,
     assert code == 0
     assert len(json.loads(out)["findings"]) == 381
     assert 0 < len(calls) <= 10
+
+
+#: Strings at the edges of JSON escaping: quotes, backslashes, control
+#: characters, DEL, U+2028, non-ASCII and non-BMP text, from a fixed alphabet.
+_finding_strings = st.text(st.sampled_from(
+    'a/"\\\x00\x08\t\n\x0c\r\x1b\x1f\x7f\x85\xa0é\u2028\u2029\ufeff中\U0001f600'), max_size=6)
+_findings = st.builds(Finding, st.sampled_from(Severity), _finding_strings, _finding_strings,
+                      st.none() | _finding_strings, st.none() | _finding_strings,
+                      st.none() | st.integers(-2**70, 2**70))
+
+
+def _finding_payload(finding):
+    return {"severity": finding.severity.value, "code": finding.code,
+            "message": finding.message, "entity_id": finding.entity_id,
+            "path": finding.path, "line": finding.line}
+
+
+@settings(max_examples=300, deadline=None)
+@given(findings=st.lists(_findings, max_size=7), size=st.integers(1, 3) | st.just(2000))
+def test_validate_json_lays_out_any_finding_as_json_dumps(findings, size):
+    """The fixed finding layout is json.dumps's, in any chunking."""
+    errors = [f for f in findings if f.severity is Severity.ERROR]
+    payload = {"valid": not errors, "summary": None,
+               "findings": [_finding_payload(f) for f in findings]}
+    with unittest.mock.patch.object(moca.cli, "_SLICE", size):
+        chunks = list(_validate_json(None, findings, errors))
+    assert "".join(chunks) == _dumps(payload)
+    assert all(chunks)
+
+
+@pytest.mark.parametrize("uncovered", [0, 1, 2000, 2001, 4001])
+def test_validate_output_across_slices(run, tmp_path, uncovered):
+    """One metric and uncovered + 1 practices, the first covered by a rule:
+    exactly `uncovered` findings, across _SLICE boundaries the goldens never reach."""
+    elements = [{"id": f"p{i:05d}", "name": f"P{i}", "kind": "practice", "category": "c"}
+                for i in range(uncovered + 1)]
+    manifest = {"metrics": 1, "practices": uncovered + 1, "roles": 0,
+                "practice_categories": 1}
+    paths = write_kb(tmp_path, metrics=MIN_METRICS[:1], elements=elements, manifest=manifest,
+                     rules="RULE R1: HIGH PDI IMPACTS p00000 NEGATIVE\n")
+    kb_args = [arg for path in paths for arg in ("--kb", str(path))]
+    code, out, _ = run("validate", "--format", "json", *kb_args)
+    assert code == 0
+    payload = json.loads(out)
+    assert out == _dumps(payload)
+    assert [f["entity_id"] for f in payload["findings"]] == [
+        f"PDI:p{i:05d}" for i in range(1, uncovered + 1)]
+    code, out, _ = run("validate", *kb_args)
+    assert code == 0
+    assert out.splitlines()[-1] == f"result: 0 error(s), {uncovered} warning(s)"
 
 
 _ENGINE_AFTER = ("import moca.cli, sys; assert moca.cli.main({argv!r}) == 0; "

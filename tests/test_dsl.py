@@ -226,10 +226,18 @@ class TestErrorTotality:
             assert isinstance(doc, RuleDocument)
 
 
-#: Pieces the mutations insert besides random characters: everything that can
+#: Pieces the mutations insert besides drawn characters: everything that can
 #: turn a rule line into another well-formed one or break it at one token.
 _PIECES = (*sorted(KEYWORDS), '"', '""', '"x"', ":", " ", "\t", "\r", "\f", "#",
            "é", "R1", "_", "9")
+
+#: Characters a mutation draws up to two of: ASCII, control, non-ASCII and
+#: non-BMP ones, among them those a regex or str.splitlines treats as space or
+#: a line break. A fixed alphabet, because st.text() builds Hypothesis's Unicode
+#: table on its first draw, which is slow enough to fail the too_slow check.
+_EDGE_CHARS = st.text(st.sampled_from(
+    'aZ0_ :"#\t\n\r\x0b\x0c\x00\x1c\x1f\x7f\x85\xa0é\u2028\u3000中\U0001d400\U0001f600'),
+    max_size=2)
 
 
 @st.composite
@@ -241,7 +249,7 @@ def mutated_rule_lines(draw):
     for _ in range(edits):
         at = draw(st.integers(0, len(line)))
         end = min(len(line), at + draw(st.integers(1, 4)))
-        piece = draw(st.sampled_from(_PIECES) | st.text(max_size=2))
+        piece = draw(st.sampled_from(_PIECES) | _EDGE_CHARS)
         edit = draw(st.sampled_from(("insert", "delete", "replace", "swap", "truncate")))
         if edit == "insert":
             line = line[:at] + piece + line[at:]

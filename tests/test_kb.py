@@ -1,12 +1,15 @@
 import ast
+import dataclasses
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from moca import kb as kb_mod
 from moca.kb import (
     ExpectedCounts,
+    Finding,
     KnowledgeBase,
     KnowledgeBaseError,
     Severity,
@@ -28,6 +31,7 @@ from moca.model import (
     UnknownEntityError,
 )
 
+from strategies import knowledge_bases
 from util import MIN_ELEMENTS, MIN_METRICS, MIN_RULES, write_kb
 
 #: A manifest that an empty file set matches.
@@ -349,6 +353,23 @@ class TestCompleteness:
                      if f.code == "uncovered-cell"}
         assert uncovered == expected
         assert len(report.findings) == 381
+
+    @given(knowledge_bases(max_metrics=4, max_elements=6, max_rules=12))
+    @settings(max_examples=100)
+    def test_uncovered_cells_in_metric_then_element_order(self, kb):
+        # An artifact sorts before every drawn element id and is never a cell.
+        artifact = AgileElement(id="Zartifact", name="Z", kind=ElementKind.ARTIFACT)
+        practices = [e for e in kb.elements if e.kind is ElementKind.PRACTICE]
+        kb = dataclasses.replace(kb, elements=(*kb.elements, artifact), manifest=ExpectedCounts(
+            len(kb.metrics), len(practices), len(kb.elements) - len(practices),
+            len({p.category for p in practices})))
+        covered = {(r.metric, r.element) for r in kb.rules}
+        expected = [
+            Finding(Severity.WARNING, "uncovered-cell", f"no rule covers ({m.id}, {e.id})",
+                    entity_id=f"{m.id}:{e.id}")
+            for m in kb.metrics for e in sorted(kb.elements, key=lambda e: e.id)
+            if e.kind in (ElementKind.PRACTICE, ElementKind.ROLE) and (m.id, e.id) not in covered]
+        assert list(validate_completeness(kb).findings) == expected
 
     def test_manifest_mismatch_blocks_load(self, tmp_path):
         manifest = {"metrics": 8, "practices": 38, "roles": 10,
