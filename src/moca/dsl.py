@@ -19,13 +19,14 @@ emitted. The parser does no reference resolution: rules may name metrics,
 elements, or conditions declared elsewhere, and the knowledge-base loader
 reports anything that dangles.
 
-An anchored regex, ``_RULE_LINE_RE``, only accepts: it builds the rule of a
-well-formed ``RULE`` line whose identifiers are not keywords. ``_LineParser``
-reads and diagnoses every other line, so every ``ParseError`` comes from one
-parser. It reads the ``(kind, text, column)`` tokens of ``_TOKEN_RE`` (one
-master regex walked with ``finditer``), closed by an ``end`` token, with two
-verbs: ``accept`` for an optional token and ``expect`` for a required one,
-whose absence fails the line with a positioned ``ParseError``.
+One ``_LINE_RE.finditer`` pass yields a file's lines. It only accepts: a
+well-formed ``RULE`` line with no keyword as an identifier becomes its rule,
+built from the proven fields unchecked. ``_LineParser`` reads and diagnoses
+every other line, so every ``ParseError`` comes from one parser. It reads the
+``(kind, text, column)`` tokens of ``_TOKEN_RE`` (one master regex walked
+with ``finditer``), closed by an ``end`` token, with two verbs: ``accept``
+for an optional token and ``expect`` for a required one, whose absence fails
+the line with a positioned ``ParseError``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .model import (
     MetricPredicate,
     MocaError,
     _IDENT,
+    _polarity,
     _record,
 )
 
@@ -116,11 +118,12 @@ _WORD = _IDENT  # a keyword or an identifier
 #: token can start with.
 _TOKEN_RE = re.compile(rf'[ \t]*(?:({_WORD})|"([^"]*)"|(:)|([^ \t]))')
 
-#: A well-formed RULE line: ``[ \t]*`` between tokens, ``[ \t]+`` between words.
-_RULE_LINE_RE = re.compile(
-    rf'[ \t]*RULE[ \t]+({_WORD})[ \t]*(?:"([^"]*)"[ \t]*)?:[ \t]*'
+#: One match a line: a well-formed RULE line in groups 1-8 (none spans an LF), else 9.
+_LINE_RE = re.compile(
+    rf'^[ \t]*RULE[ \t]+({_WORD})[ \t]*(?:"([^"\n\r]*)"[ \t]*)?:[ \t]*'
     rf'(?:IF[ \t]+({_WORD})[ \t]+THEN[ \t]+)?(HIGH|LOW)[ \t]+({_WORD})[ \t]+IMPACTS[ \t]+'
-    rf'({_WORD})[ \t]+(POSITIVE|NEGATIVE)(?:[ \t]+BECAUSE[ \t]*"([^"]*)")?[ \t]*')
+    rf'({_WORD})[ \t]+(POSITIVE|NEGATIVE)(?:[ \t]+BECAUSE[ \t]*"([^"\n\r]*)")?[ \t]*$'
+    r'|^(.*)$', re.M)
 _MEMBERS = {**Level.__members__, **ImpactSign.__members__}  # "HIGH": Level.HIGH, ...
 
 #: How each token kind is named in messages and in ``ParseError.expected``.
@@ -236,15 +239,18 @@ def _parse_condition_line(p: _LineParser) -> ImpactCondition:
     return ImpactCondition(id=cond_id, description=description, terms=tuple(terms))
 
 
-def _match_rule_line(raw: str) -> ImpactRule | None:
-    """The rule on a well-formed RULE line; None leaves the line to the parser."""
-    if (match := _RULE_LINE_RE.fullmatch(raw)) is None:
-        return None
-    rule_id, title, condition, stated, metric, element, sign, rationale = match.groups()
+def _rule_of(match: re.Match) -> ImpactRule | None:
+    rule_id, title, condition, stated, metric, element, sign, rationale, _ = match.groups()
     if not KEYWORDS.isdisjoint((rule_id, condition, metric, element)):
-        return None  # a keyword where an identifier belongs
-    return ImpactRule(rule_id, title or "", metric, _MEMBERS[stated], _MEMBERS[sign],
-                      element, condition, rationale or "")
+        return None  # a keyword where an identifier belongs: the parser reports it
+    stated, sign = _MEMBERS[stated], _MEMBERS[sign]
+    return ImpactRule._unchecked(rule_id, title or "", metric, stated, sign, element,
+                                 condition, rationale or "", _polarity(stated, sign))
+
+
+def _match_rule_line(raw: str) -> ImpactRule | None:
+    """The rule on a well-formed RULE line, as _scan reads it; None for any other."""
+    return _rule_of(match) if (match := _LINE_RE.fullmatch(raw)) and match[9] is None else None
 
 
 def _parse_line(raw: str, line_no: int) -> DocumentEntry:
@@ -263,20 +269,20 @@ def _scan(source: str) -> tuple[list[DocumentEntry], list[int], list[ParseError]
     entries: list[DocumentEntry] = []
     lines: list[int] = []
     errors: list[ParseError] = []
-    normalized = source.replace("\r\n", "\n")
-    for line_no, raw in enumerate(normalized.split("\n"), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            entry = Comment(raw.lstrip()[1:])
-        else:
-            try:
-                entry = _match_rule_line(raw) or _parse_line(raw, line_no)
-            except _LineError as exc:
-                errors.append(exc.error)
+    for line_no, match in enumerate(_LINE_RE.finditer(source.replace("\r\n", "\n")), start=1):
+        try:
+            if (raw := match[9]) is None:
+                entry = _rule_of(match) or _parse_line(match[0], line_no)
+            elif not (stripped := raw.strip()):
                 continue
-        if "\r" in raw:  # a lone CR, in a string or a comment: it cannot be written back
+            elif stripped.startswith("#"):
+                entry = Comment(raw.lstrip()[1:])
+            else:
+                entry = _parse_line(raw, line_no)
+        except _LineError as exc:
+            errors.append(exc.error)
+            continue
+        if raw is not None and "\r" in raw:  # a lone CR in a string or a comment: unwritable
             errors.append(ParseError(line_no, raw.index("\r") + 1, "unexpected character '\\r'"))
             continue
         entries.append(entry)

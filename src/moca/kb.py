@@ -126,6 +126,7 @@ def _reference_findings(kb: KnowledgeBase) -> list[Finding]:
                     cond.id)
 
     relations: set[tuple[str, str, str | None]] = set()
+    eligible = {e.id for e in kb.elements if e.kind in MATRIX_KINDS}  # one kind test per element
     for rule in kb.rules:
         if rule.metric not in metrics:
             err("dangling-metric",
@@ -134,7 +135,7 @@ def _reference_findings(kb: KnowledgeBase) -> list[Finding]:
         if element is None:
             err("dangling-element",
                 f"rule {rule.id} references unknown element '{rule.element}'", rule.id)
-        elif element.kind not in MATRIX_KINDS:
+        elif rule.element not in eligible:
             findings.append(Finding(
                 Severity.WARNING, "rule-target-kind",
                 f"rule {rule.id} targets {element.kind.value} "

@@ -86,7 +86,7 @@ def _reduce(record):
     return type(record), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
 
-def _record(cls):
+def _record(cls=None, *, unchecked=False):
     """dataclass(slots=True) with field-tuple equality and hashing, made
     immutable here: assigning or deleting any attribute raises
     FrozenInstanceError, and _reduce copies and pickles it.
@@ -95,7 +95,10 @@ def _record(cls):
     annotations the dataclass's own would have; it stores each field
     through its slot descriptor, then calls __post_init__ if the class has
     one. A default_factory or a defaulted init=False field would need code
-    here to fill it, so either is refused."""
+    here to fill it, so either is refused. unchecked=True adds cls._unchecked(*every
+    field) for fields already proven: it stores them all, calling no __post_init__."""
+    if cls is None:
+        return functools.partial(_record, unchecked=unchecked)
     cls = dataclass(slots=True, init=False, unsafe_hash=True)(cls)
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     cls.__reduce__ = _reduce
@@ -104,11 +107,13 @@ def _record(cls):
         raise TypeError(f"{cls.__name__}: _record takes no default_factory "
                         "and no init=False field with a default")
     params = [f for f in fields(cls) if f.init]
-    namespace = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in params}
+    namespace = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fields(cls)}
     namespace.update({f"_default_{f.name}": f.default for f in params if f.default is not MISSING})
     signature = "".join(f", {f.name}" if f.default is MISSING else f", {f.name}=_default_{f.name}"
                         for f in params)
-    body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in params)
+    def stores(group):
+        return "".join(f"\n    _set_{f.name}(self, {f.name})" for f in group)
+    body = stores(params)
     if hasattr(cls, "__post_init__"):
         body += "\n    self.__post_init__()"
     exec(f"def __init__(self{signature}):{body}", namespace)
@@ -116,6 +121,10 @@ def _record(cls):
     init.__annotations__ = {**{f.name: f.type for f in params}, "return": None}
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    if unchecked:  # generated only where used: each exec costs start-up time
+        exec(f"def _unchecked(cls{''.join(f', {f.name}' for f in fields(cls))}):\n"
+             f"    self = object.__new__(cls){stores(fields(cls))}\n    return self", namespace)
+        cls._unchecked = classmethod(namespace["_unchecked"])
     return cls
 
 
@@ -186,6 +195,10 @@ class ImpactSign(Enum):
 # Read for every rule built: a module global is read several times faster
 # than a member through its enum class.
 _MEDIUM, _HIGH, _POSITIVE = Level.MEDIUM, Level.HIGH, ImpactSign.POSITIVE
+
+
+def _polarity(stated_level: Level, sign: ImpactSign) -> int:
+    return 1 if (stated_level is _HIGH) == (sign is _POSITIVE) else -1
 
 
 def check_metric_value(value: object, *, context: str = "metric value") -> int:
@@ -323,7 +336,7 @@ class ImpactCondition:
         object.__setattr__(self, "terms", terms)
 
 
-@_record
+@_record(unchecked=True)
 class ImpactRule:
     """One causal relation from a metric level to an agile element.
 
@@ -354,8 +367,7 @@ class ImpactRule:
             raise ValueError(f"condition reference must be an identifier, got {self.condition!r}")
         if self.stated_level is _MEDIUM:
             raise ValueError(f"rule {self.id}: stated level must be LOW or HIGH")
-        aligned = (self.stated_level is _HIGH) == (self.sign is _POSITIVE)
-        object.__setattr__(self, "polarity", 1 if aligned else -1)
+        object.__setattr__(self, "polarity", _polarity(self.stated_level, self.sign))
 
 
 @_record

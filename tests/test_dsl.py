@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from moca.model import (
     MetricPredicate,
 )
 
-from strategies import rule_documents, syntax_rule_st
+from strategies import rule_documents, syntax_condition_st, syntax_rule_st
 
 H6_LINE = ('RULE H6 "open communication (of problems)": '
            'IF IC1 THEN HIGH PDI IMPACTS daily_meeting NEGATIVE')
@@ -351,3 +353,91 @@ class TestRuleLineRegex:
             assert doc.rules
             assert parsed_lines == [line for entry, line in zip(doc.entries, doc.lines)
                                     if isinstance(entry, ImpactCondition)]
+
+
+#: Rule lines with a keyword where an identifier belongs, in each of the four places.
+_KEYWORD_RULE_LINES = st.builds(str.format, st.sampled_from((
+    "RULE {}: HIGH M IMPACTS e POSITIVE",
+    "RULE R1: IF {} THEN LOW M IMPACTS e NEGATIVE",
+    'RULE R1 "t": HIGH {} IMPACTS e POSITIVE',
+    "RULE R1: LOW M IMPACTS {} NEGATIVE",
+)), st.sampled_from(sorted(KEYWORDS)))
+
+
+@st.composite
+def broken_rule_lines(draw):
+    """A serialized rule line broken in two by an LF, often inside a string."""
+    line = serialize(RuleDocument(entries=(draw(syntax_rule_st),))).rstrip("\n")
+    at = draw(st.integers(0, len(line)))
+    return line[:at] + "\n" + line[at:]
+
+
+#: One line of a multi-line source; a drawn line may itself hold a CR or an LF.
+_SOURCE_LINE = st.one_of(
+    mutated_rule_lines().map(lambda drawn: drawn[0]),
+    broken_rule_lines(),
+    syntax_condition_st.map(lambda cond: serialize(RuleDocument(entries=(cond,))).rstrip("\n")),
+    _EDGE_TEXT.map(lambda text: "#" + text),
+    st.sampled_from(("", " ", "\t", " \f ")),
+    _KEYWORD_RULE_LINES,
+)
+
+
+@st.composite
+def multi_line_sources(draw):
+    """Drawn lines joined by LF or CRLF, with or without a final line break,
+    then lone CRs, form feeds and non-ASCII characters put in anywhere."""
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    source = newline.join(draw(st.lists(_SOURCE_LINE, max_size=8)))
+    source += draw(st.sampled_from(("", newline)))
+    for char in draw(st.lists(st.sampled_from("\r\f\x85\u2028é中"), max_size=3)):
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + char + source[at:]
+    return source
+
+
+class TestOnePass:
+    """parse reads a file in one regex pass: that pass reads each line as
+    scanning it alone would, and builds each well-formed RULE line's rule
+    without checking its fields again."""
+
+    @given(multi_line_sources())
+    @settings(max_examples=500)
+    def test_scan_reads_each_line_as_alone(self, source):
+        want_entries, want_lines, want_errors = [], [], []
+        for offset, line in enumerate(source.replace("\r\n", "\n").split("\n")):
+            entries, lines, errors = dsl._scan(line)
+            assert lines == [1] * len(entries) and all(e.line == 1 for e in errors)
+            want_entries += entries
+            want_lines += [offset + 1] * len(entries)
+            want_errors += [ParseError(offset + 1, e.column, e.message, e.expected)
+                            for e in errors]
+        entries, lines, errors = dsl._scan(source)
+        assert (entries, lines, errors) == (want_entries, want_lines, want_errors)
+        assert ([getattr(e, "polarity", None) for e in entries]
+                == [getattr(e, "polarity", None) for e in want_entries])
+
+    def test_parsing_the_golden_kbs_checks_no_rule_again(self, monkeypatch, seed_paths):
+        checked = []
+        check = ImpactRule.__post_init__
+        monkeypatch.setattr(ImpactRule, "__post_init__",
+                            lambda rule: checked.append(rule.id) or check(rule))
+        sources = [p for p in seed_paths if p.suffix == ".moca"]
+        sources += sorted((GOLDEN / "synthetic_kb").glob("*.moca"))
+        for path in sources:
+            assert parse(path.read_text(encoding="utf-8")).rules
+        assert checked == []
+        assert ImpactRule("R1", "", "M", Level.HIGH, ImpactSign.POSITIVE, "e").polarity == 1
+        assert checked == ["R1"]
+
+    @given(syntax_rule_st)
+    @settings(max_examples=200)
+    def test_regex_rule_is_the_public_rule(self, rule):
+        fast = dsl._match_rule_line(serialize(RuleDocument(entries=(rule,))).rstrip("\n"))
+        public = ImpactRule(fast.id, fast.title, fast.metric, fast.stated_level, fast.sign,
+                            fast.element, fast.condition, fast.rationale)
+        assert public == rule
+        for twin in (fast, copy.copy(fast), copy.deepcopy(fast), pickle.loads(pickle.dumps(fast))):
+            assert type(twin) is ImpactRule
+            assert twin == public and hash(twin) == hash(public)
+            assert twin.polarity == public.polarity
