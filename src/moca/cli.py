@@ -9,13 +9,12 @@ any input file.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import stat
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -118,87 +117,18 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]):
         raise CliError(f"cannot write '{args.out}': {exc}") from None
 
 
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-#: Members per encoder call in a long or lazy container; findings or lines per chunk.
+#: json encoder pieces, findings or lines per chunk; matrix rows go one a chunk.
 _SLICE = 2000
-
-
-@functools.cache
-def _encoder(depth: int):
-    """json's C encoder for the members of a container opened at `depth`: made
-    once, where `JSONEncoder.encode` makes one per call."""
-    encode = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
-        ": ", ",\n" + "  " * (depth + 1), False, False, True)
-    return lambda value: "".join(encode(value, 0))
+_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
 
 
 def _json_chunks(payload) -> Iterator[str]:
-    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` in pieces."""
-    yield from _chunks(payload, 0)
+    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` in pieces:
+    the encoder's own pieces, _SLICE of them a chunk."""
+    pieces = _JSON.iterencode(payload)
+    while chunk := "".join(islice(pieces, _SLICE)):
+        yield chunk
     yield "\n"
-
-
-def _chunks(value, depth: int) -> Iterator[str]:
-    """`_render(value, depth)` in pieces, where an iterator stands for a list. A
-    dict holding a dict or an iterator goes one member at a time; an iterator,
-    or another container of more than _SLICE members, goes _SLICE members per
-    `_render`. Each piece is cut from a `_render`, so the layout is json's."""
-    inner, outer = "  " * (depth + 1), "  " * depth
-    if isinstance(value, dict) and any(
-            issubclass(kind, (dict, Iterator)) for kind in set(map(type, value.values()))):
-        for i, (key, member) in enumerate(value.items()):
-            pieces = _chunks(member, depth + 1)
-            yield f"{',' if i else '{'}\n{inner}{_encoder(depth)({key: 0})[1:-2]}{next(pieces)}"
-            yield from pieces
-        yield f"\n{outer}}}"
-    elif isinstance(value, Iterator) or isinstance(value, _CONTAINERS) and len(value) > _SLICE:
-        is_dict, tail, text = isinstance(value, dict), len(outer) + 2, None
-        members = iter(value.items() if is_dict else value)
-        parts = iter(lambda: list(islice(members, _SLICE)), [])
-        for i, text in enumerate(_render(dict(p) if is_dict else p, depth) for p in parts):
-            yield text[:-tail] if i == 0 else "," + text[1:-tail]  # "," + "\n" + inner + body
-        yield "[]" if text is None else text[-tail:]  # an iterator may be empty
-    else:
-        yield _render(value, depth)
-
-
-def _render(value, depth: int) -> str:
-    """`value` as json.dumps(indent=2) lays it out `depth` levels down. json
-    runs its C encoder only without an indent, so the layout goes in the item
-    separator. A container is encoded with its non-empty containers swapped
-    for 0, split at the separator and the 0s filled in; a list of objects is
-    encoded a level down, then split at "}" + separator + "{". This is safe
-    because the separator starts with a newline, and json escapes it inside a
-    string: it only ever occurs between two members."""
-    if not (isinstance(value, _CONTAINERS) and value):
-        return _encoder(depth)(value)
-    inner, outer, is_dict = "  " * (depth + 1), "  " * depth, isinstance(value, dict)
-    run = not is_dict and all(isinstance(v, dict) and v for v in value)
-    level = depth + run  # one call lays out the fields of a run of objects
-    members = list(chain.from_iterable(map(dict.values, value)) if run
-                   else value.values() if is_dict else value)
-    nested = {} if _SCALARS.issuperset(map(type, members)) else {
-        i: v for i, v in enumerate(members) if isinstance(v, _CONTAINERS) and v}
-    cut = 1 + run  # the brackets, and a run's first "{" and last "}"
-    if not nested:
-        body = _encoder(level)(value)[cut:-cut]
-    else:
-        flat = iter([0 if i in nested else v for i, v in enumerate(members)])
-        skeleton = ([dict(zip(v, flat)) for v in value] if run
-                    else dict(zip(value, flat)) if is_dict else list(flat))
-        separator = ",\n" + "  " * (level + 1)
-        parts = _encoder(level)(skeleton)[cut:-cut].split(separator)
-        for i, member in nested.items():  # only a run's "}" can follow a 0
-            head, _, tail = parts[i].rpartition("0")
-            parts[i] = head + _render(member, level + 1) + tail
-        body = separator.join(parts)
-        del parts  # a large member's text is not held twice
-    if run:
-        body = body.replace(f"}},\n{inner}  {{", f"\n{inner}}},\n{inner}{{\n{inner}  ")
-        return f"[\n{inner}{{\n{inner}  {body}\n{inner}}}\n{outer}]"
-    return f"{'{' if is_dict else '['}\n{inner}{body}\n{outer}{'}' if is_dict else ']'}"
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[str]:
@@ -287,10 +217,10 @@ def cmd_validate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if result.kb is not None:
         # Through the module attribute, which bench/tracing.py wraps to time it.
         findings += kb_mod.validate_completeness(result.kb).findings
-    if args.format == "text":
-        return _report_exit_code(errors), _blocks(_validate_text(result.kb, findings, errors))
     # The summary is made now, so the KB is not held while the findings are written.
     summary = _kb_summary(result.kb) if result.kb is not None else None
+    if args.format == "text":
+        return _report_exit_code(errors), _blocks(_validate_text(summary, findings, errors))
     return _report_exit_code(errors), _validate_json(summary, findings, errors)
 
 
@@ -333,10 +263,9 @@ def _validate_json(summary: dict | None, findings: Sequence[Finding],
     yield "\n  ]\n}\n"
 
 
-def _validate_text(kb: KnowledgeBase | None, findings: Sequence[Finding],
+def _validate_text(summary: dict | None, findings: Sequence[Finding],
                    errors: Sequence[Finding]) -> Iterator[str]:
-    if kb is not None:
-        summary = _kb_summary(kb)
+    if summary is not None:
         yield f"metrics: {summary['metrics']}"
         yield (f"elements: {summary['elements']} "
                f"({summary['practices']} practices, {summary['roles']} roles)")
@@ -344,7 +273,7 @@ def _validate_text(kb: KnowledgeBase | None, findings: Sequence[Finding],
         yield f"rules: {summary['rules']}"
         yield f"profiles: {summary['profiles']}"
         yield f"matrix domain: {summary['matrix_cells']} cells"
-        if kb.manifest is not None:
+        if summary["manifest_declared"]:
             yield "manifest: counts confirmed"
     yield from map(_finding_line, findings)
     yield f"result: {len(errors)} error(s), {len(findings) - len(errors)} warning(s)"
@@ -358,7 +287,7 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     profile = _profile(_profiles(kb, args), args.profile)
     assessments = engine.evaluate(kb, _context(args, profile, args.flag))
     if args.format == "json":
-        return EXIT_OK, _json_chunks(map(_assessment_json, assessments))
+        return EXIT_OK, _json_chunks(list(map(_assessment_json, assessments)))
     return EXIT_OK, _blocks(_assessments_text(kb, assessments))
 
 
@@ -408,7 +337,7 @@ def cmd_matrix(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import engine
     matrix = engine.export_matrix(_require_kb(args))
     if args.format == "json":
-        return EXIT_OK, _json_chunks(_matrix_json(matrix))  # a row, or a slice of one, a chunk
+        return EXIT_OK, _matrix_json(matrix)
     return EXIT_OK, _blocks(_matrix_csv(matrix))
 
 
@@ -430,23 +359,37 @@ def _matrix_csv(matrix: engine.MatrixExport) -> Iterator[str]:
         yield ",".join([metric_id, *row.values()])
 
 
-def _matrix_json(matrix: engine.MatrixExport) -> dict:
-    # An uncovered cell shares one empty tuple, which renders as [].
-    cells: dict[str, dict[str, list | tuple]] = {
-        metric_id: dict.fromkeys(matrix.elements, ()) for metric_id in matrix.metrics}
+def _matrix_json(matrix: engine.MatrixExport) -> Iterator[str]:
+    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` of the matrix
+    payload, one metric row a chunk. "metrics" and "elements" go through
+    _json_chunks; an uncovered cell is [] and every entry is laid out by one
+    fixed template, its strings escaped by the escaper json.dumps uses."""
+    head = "".join(_json_chunks({"metrics": list(matrix.metrics),
+                                 "elements": list(matrix.elements), "cells": {}}))
+    if not matrix.metrics:
+        yield head
+        return
+    yield head[:-len("{}\n}\n")] + "{\n"
+    quote = json.encoder.encode_basestring
+    keys = [f"{quote(element_id)}: " for element_id in matrix.elements]
+    column = {element_id: i for i, element_id in enumerate(matrix.elements)}
+    covered: dict[str, list] = {metric_id: [] for metric_id in matrix.metrics}
     for (metric_id, element_id), entries in matrix.cells.items():
-        cells[metric_id][element_id] = [
-            {
-                "rule_id": entry.rule_id,
-                "stated_level": entry.stated_level.value,
-                "sign": entry.sign.value,
-                "condition": entry.condition,
-            }
-            for entry in entries
-        ]
-    return {"metrics": list(matrix.metrics),
-            "elements": list(matrix.elements),
-            "cells": cells}
+        covered[metric_id].append((column[element_id], entries))
+    uncovered = [key + "[]" for key in keys]
+    for n, (metric_id, cells) in enumerate(covered.items()):
+        row = uncovered.copy()
+        for i, entries in cells:
+            row[i] = keys[i] + "[\n" + ",\n".join([
+                f'        {{\n          "rule_id": {quote(e.rule_id)},\n'
+                f'          "stated_level": {quote(e.stated_level.value)},\n'
+                f'          "sign": {quote(e.sign.value)},\n'
+                f'          "condition": {"null" if e.condition is None else quote(e.condition)}'
+                f'\n        }}'
+                for e in entries]) + "\n      ]"
+        body = "{\n      " + ",\n      ".join(row) + "\n    }" if row else "{}"
+        yield (",\n" if n else "") + f"    {quote(metric_id)}: {body}"
+    yield "\n  }\n}\n"
 
 
 # --- explain ----------------------------------------------------------------
@@ -505,7 +448,7 @@ def cmd_diff(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if not args.all:
         diffs = tuple(d for d in diffs if d.delta != 0 or d.rules_changed)
     if args.format == "json":
-        return EXIT_OK, _json_chunks(map(_diff_json, diffs))
+        return EXIT_OK, _json_chunks(list(map(_diff_json, diffs)))
     return EXIT_OK, _blocks(_diff_text(diffs))
 
 

@@ -468,8 +468,11 @@ def _read_rule_file(path: Path, name: str, out: _Collector):
                 message += f" (expected {', '.join(err.expected)})"
             out.error("syntax-error", message, path=name, line=err.line)
         return
-    out.rules.extend(doc.rules)
-    out.conditions.extend(doc.conditions)
+    for entry in doc.entries:  # comments go to neither list
+        if isinstance(entry, ImpactRule):
+            out.rules.append(entry)
+        elif isinstance(entry, ImpactCondition):
+            out.conditions.append(entry)
 
 
 def _unsupported_file(path: Path, name: str, out: _Collector):

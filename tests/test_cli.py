@@ -19,8 +19,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import moca
 from moca import engine, kb as kb_mod
-from moca.cli import _blocks, _cell_token, _json_chunks, _matrix_csv, _validate_json, main
+from moca.cli import (_blocks, _cell_token, _json_chunks, _matrix_csv, _matrix_json,
+                      _validate_json, main)
 from moca.kb import Finding, Severity, seed_dir
+from moca.model import ImpactSign, Level
 
 from strategies import knowledge_bases
 from util import MIN_ELEMENTS, MIN_METRICS, write_kb
@@ -670,11 +672,16 @@ class TestOutputFailure:
     def test_interrupt_between_chunks_leaves_out_as_it_was(self, run, monkeypatch, tmp_path,
                                                            argv, existing):
         monkeypatch.setattr(moca.cli, "_SLICE", 1)
-        chunks_of = {name: getattr(moca.cli, name) for name in ("_blocks", "_json_chunks")}
-        made = []
+        chunks_of = {name: getattr(moca.cli, name)
+                     for name in ("_blocks", "_json_chunks", "_matrix_json", "_validate_json")}
+        made, outer = [], []
 
         def interrupted(name):
             def chunks(*args):
+                if outer:  # a wrapped maker called by another runs whole
+                    yield from chunks_of[name](*args)
+                    return
+                outer.append(name)
                 pieces = chunks_of[name](*args)
                 made.append(next(pieces))
                 yield made[-1]
@@ -997,25 +1004,11 @@ _json_values = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(value=_json_values)
-def test_json_text_is_json_dumps_byte_for_byte(value):
-    assert _json_text(value) == _dumps(value)
-
-
-def _lazy(value):
-    """The value with each list reached through dicts made an iterator."""
-    if isinstance(value, dict):
-        return {key: _lazy(member) for key, member in value.items()}
-    return iter(value) if isinstance(value, list) else value
-
-
-@settings(max_examples=300, deadline=None)
 @given(value=_json_values, size=st.integers(1, 5) | st.just(2000))
 def test_json_chunks_join_to_json_dumps_at_any_slice_size(value, size):
     with unittest.mock.patch.object(moca.cli, "_SLICE", size):
         chunks = list(_json_chunks(value))
         assert "".join(chunks) == _dumps(value)
-        assert "".join(_json_chunks(_lazy(value))) == _dumps(value)
     assert all(chunks)
 
 
@@ -1047,17 +1040,13 @@ def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(monkeypatch,
     finding: a renderer that fell back to a call per finding would still pass
     every golden."""
     calls = []
-    encoder = moca.cli._encoder
+    iterencode = moca.cli._JSON.iterencode
 
-    def counting(depth):
-        encode = encoder(depth)
+    def counting(value):
+        calls.append(value)
+        return iterencode(value)
 
-        def counted(value):
-            calls.append(depth)
-            return encode(value)
-        return counted
-
-    monkeypatch.setattr(moca.cli, "_encoder", counting)
+    monkeypatch.setattr(moca.cli._JSON, "iterencode", counting)
     code, out, _ = run("validate", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["findings"]) == 381
@@ -1089,6 +1078,37 @@ def test_validate_json_lays_out_any_finding_as_json_dumps(findings, size):
     with unittest.mock.patch.object(moca.cli, "_SLICE", size):
         chunks = list(_validate_json(None, findings, errors))
     assert "".join(chunks) == _dumps(payload)
+    assert all(chunks)
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 3 x 3 grids of drawn ids, each covered cell holding 1-3 entries."""
+    metrics = draw(st.lists(_finding_strings, max_size=3, unique=True))
+    elements = draw(st.lists(_finding_strings, max_size=3, unique=True))
+    grid = [(m, e) for m in metrics for e in elements]
+    entries = st.lists(st.builds(engine.MatrixEntry, _finding_strings, st.sampled_from(Level),
+                                 st.sampled_from(ImpactSign), st.none() | _finding_strings),
+                       min_size=1, max_size=3).map(tuple)
+    cells = draw(st.dictionaries(st.sampled_from(grid), entries) if grid else st.just({}))
+    return engine.MatrixExport(tuple(metrics), tuple(elements), cells)
+
+
+def _matrix_payload(matrix):
+    return {"metrics": list(matrix.metrics), "elements": list(matrix.elements), "cells": {
+        m: {e: [{"rule_id": entry.rule_id, "stated_level": entry.stated_level.value,
+                 "sign": entry.sign.value, "condition": entry.condition}
+                for entry in matrix.cells.get((m, e), ())] for e in matrix.elements}
+        for m in matrix.metrics}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_matrices(), size=st.integers(1, 3) | st.just(2000))
+def test_matrix_json_lays_out_any_matrix_as_json_dumps(matrix, size):
+    """The fixed row and entry layout is json.dumps's, in any chunking."""
+    with unittest.mock.patch.object(moca.cli, "_SLICE", size):
+        chunks = list(_matrix_json(matrix))
+    assert "".join(chunks) == _dumps(_matrix_payload(matrix))
     assert all(chunks)
 
 
