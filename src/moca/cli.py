@@ -13,7 +13,7 @@ import json
 import os
 import stat
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -117,9 +117,10 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]):
         raise CliError(f"cannot write '{args.out}': {exc}") from None
 
 
-#: json encoder pieces, findings or lines per chunk; matrix rows go one a chunk.
+#: json encoder pieces, records or lines per chunk; matrix rows go one a chunk.
 _SLICE = 2000
 _JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
+_quote = json.encoder.encode_basestring  # the string escaper of json.dumps(ensure_ascii=False)
 
 
 def _json_chunks(payload) -> Iterator[str]:
@@ -129,6 +130,23 @@ def _json_chunks(payload) -> Iterator[str]:
     while chunk := "".join(islice(pieces, _SLICE)):
         yield chunk
     yield "\n"
+
+
+def _json_list(records: Sequence, lay_out: Callable[[Sequence], list[str]],
+               head: str = "", indent: str = "", tail: str = "\n") -> Iterator[str]:
+    """head, the records as json.dumps(indent=2) lays out a list whose closing
+    bracket is at `indent`, then tail: _SLICE records a chunk, each slice laid
+    out by one fixed template in lay_out."""
+    for start in range(0, len(records), _SLICE):
+        laid_out = ",\n".join(lay_out(records[start:start + _SLICE]))
+        yield (",\n" if start else f"{head}[\n") + laid_out
+    yield f"\n{indent}]{tail}" if records else f"{head}[]{tail}"
+
+
+def _field_list(items: Sequence, lay_out: Callable[..., str] = _quote) -> str:
+    """A record field's list as json.dumps(indent=2) lays it out, each item at
+    indent 6 laid out by lay_out."""
+    return "[\n      " + ",\n      ".join(map(lay_out, items)) + "\n    ]" if items else "[]"
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[str]:
@@ -243,24 +261,19 @@ def _kb_summary(kb: KnowledgeBase) -> dict:
 def _validate_json(summary: dict | None, findings: Sequence[Finding],
                    errors: Sequence[Finding]) -> Iterator[str]:
     """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` of validate's
-    payload. "valid" and "summary" go through _json_chunks; every finding is laid
-    out by one fixed template, its strings escaped by the escaper json.dumps
-    uses, _SLICE findings a chunk."""
+    payload: "valid" and "summary" go through _json_chunks, the findings
+    through _json_list."""
     head = "".join(_json_chunks({"valid": not errors, "summary": summary, "findings": []}))
-    if not findings:
-        yield head
-        return
-    yield head[:-len("[]\n}\n")] + "[\n"
-    quote = json.encoder.encode_basestring
-    for start in range(0, len(findings), _SLICE):
-        yield (",\n" if start else "") + ",\n".join([
-            f'    {{\n      "severity": {quote(f.severity.value)},\n'
-            f'      "code": {quote(f.code)},\n      "message": {quote(f.message)},\n'
-            f'      "entity_id": {"null" if f.entity_id is None else quote(f.entity_id)},\n'
-            f'      "path": {"null" if f.path is None else quote(f.path)},\n'
+    return _json_list(findings, _finding_layouts, head[:-len("[]\n}\n")], "  ", "\n}\n")
+
+
+def _finding_layouts(findings: Sequence[Finding]) -> list[str]:
+    return [f'    {{\n      "severity": {_quote(f.severity.value)},\n'
+            f'      "code": {_quote(f.code)},\n      "message": {_quote(f.message)},\n'
+            f'      "entity_id": {"null" if f.entity_id is None else _quote(f.entity_id)},\n'
+            f'      "path": {"null" if f.path is None else _quote(f.path)},\n'
             f'      "line": {"null" if f.line is None else str(f.line)}\n    }}'
-            for f in findings[start:start + _SLICE]])
-    yield "\n  ]\n}\n"
+            for f in findings]
 
 
 def _validate_text(summary: dict | None, findings: Sequence[Finding],
@@ -287,11 +300,26 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     profile = _profile(_profiles(kb, args), args.profile)
     assessments = engine.evaluate(kb, _context(args, profile, args.flag))
     if args.format == "json":
-        return EXIT_OK, _json_chunks(list(map(_assessment_json, assessments)))
+        return EXIT_OK, _json_list(assessments, _assessment_layouts)
     return EXIT_OK, _blocks(_assessments_text(kb, assessments))
 
 
+def _assessment_layouts(assessments: Sequence[engine.Assessment]) -> list[str]:
+    return [f'  {{\n    "element": {_quote(a.element)},\n'
+            f'    "contributions": {_field_list(a.contributions, _contribution_layout)},\n'
+            f'    "score": {a.score!s},\n    "label": {_quote(a.label.value)},\n'
+            f'    "indeterminate_rules": {_field_list(a.indeterminate_rules)},\n'
+            f'    "gated_rules": {_field_list(a.gated_rules)}\n  }}' for a in assessments]
+
+
+def _contribution_layout(c: engine.Contribution) -> str:
+    return (f'{{\n        "rule_id": {_quote(c.rule_id)},\n        "value": {c.value!s},\n'
+            f'        "fired_level": {_quote(c.fired_level.value)},\n'
+            f'        "condition_status": {_quote(c.condition_status.value)}\n      }}')
+
+
 def _assessment_json(a: engine.Assessment) -> dict:
+    """The payload of one assessment, as _assessment_layouts writes it."""
     return {
         "element": a.element,
         "contributions": [
@@ -370,8 +398,7 @@ def _matrix_json(matrix: engine.MatrixExport) -> Iterator[str]:
         yield head
         return
     yield head[:-len("{}\n}\n")] + "{\n"
-    quote = json.encoder.encode_basestring
-    keys = [f"{quote(element_id)}: " for element_id in matrix.elements]
+    keys = [f"{_quote(element_id)}: " for element_id in matrix.elements]
     column = {element_id: i for i, element_id in enumerate(matrix.elements)}
     covered: dict[str, list] = {metric_id: [] for metric_id in matrix.metrics}
     for (metric_id, element_id), entries in matrix.cells.items():
@@ -381,14 +408,14 @@ def _matrix_json(matrix: engine.MatrixExport) -> Iterator[str]:
         row = uncovered.copy()
         for i, entries in cells:
             row[i] = keys[i] + "[\n" + ",\n".join([
-                f'        {{\n          "rule_id": {quote(e.rule_id)},\n'
-                f'          "stated_level": {quote(e.stated_level.value)},\n'
-                f'          "sign": {quote(e.sign.value)},\n'
-                f'          "condition": {"null" if e.condition is None else quote(e.condition)}'
+                f'        {{\n          "rule_id": {_quote(e.rule_id)},\n'
+                f'          "stated_level": {_quote(e.stated_level.value)},\n'
+                f'          "sign": {_quote(e.sign.value)},\n'
+                f'          "condition": {"null" if e.condition is None else _quote(e.condition)}'
                 f'\n        }}'
                 for e in entries]) + "\n      ]"
         body = "{\n      " + ",\n      ".join(row) + "\n    }" if row else "{}"
-        yield (",\n" if n else "") + f"    {quote(metric_id)}: {body}"
+        yield (",\n" if n else "") + f"    {_quote(metric_id)}: {body}"
     yield "\n  }\n}\n"
 
 
@@ -448,18 +475,14 @@ def cmd_diff(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if not args.all:
         diffs = tuple(d for d in diffs if d.delta != 0 or d.rules_changed)
     if args.format == "json":
-        return EXIT_OK, _json_chunks(list(map(_diff_json, diffs)))
+        return EXIT_OK, _json_list(diffs, _diff_layouts)
     return EXIT_OK, _blocks(_diff_text(diffs))
 
 
-def _diff_json(d: engine.ElementDiff) -> dict:
-    return {
-        "element": d.element,
-        "score_a": d.score_a,
-        "score_b": d.score_b,
-        "delta": d.delta,
-        "rules_changed": list(d.rules_changed),
-    }
+def _diff_layouts(diffs: Sequence[engine.ElementDiff]) -> list[str]:
+    return [f'  {{\n    "element": {_quote(d.element)},\n    "score_a": {d.score_a!s},\n'
+            f'    "score_b": {d.score_b!s},\n    "delta": {d.delta!s},\n'
+            f'    "rules_changed": {_field_list(d.rules_changed)}\n  }}' for d in diffs]
 
 
 def _diff_text(diffs: Sequence[engine.ElementDiff]) -> Iterator[str]:

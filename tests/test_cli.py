@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import moca
 from moca import engine, kb as kb_mod
-from moca.cli import (_blocks, _cell_token, _json_chunks, _matrix_csv, _matrix_json,
-                      _validate_json, main)
+from moca.cli import (_assessment_layouts, _blocks, _cell_token, _diff_layouts, _json_chunks,
+                      _json_list, _matrix_csv, _matrix_json, _validate_json, main)
 from moca.kb import Finding, Severity, seed_dir
 from moca.model import ImpactSign, Level
 
@@ -668,12 +668,16 @@ class TestOutputFailure:
 
     @pytest.mark.parametrize("existing", [None, b"kept as it was\n"])
     @pytest.mark.parametrize("argv", [("validate",), ("validate", "--format", "json"),
-                                      ("matrix", "--format", "json")])
+                                      ("matrix", "--format", "json"),
+                                      (*EVAL_ARGS, "--format", "json"),
+                                      ("diff", "--profile", "strong_hierarchy",
+                                       "--flag-b", "manager_attends_meeting", "--format", "json")])
     def test_interrupt_between_chunks_leaves_out_as_it_was(self, run, monkeypatch, tmp_path,
                                                            argv, existing):
         monkeypatch.setattr(moca.cli, "_SLICE", 1)
         chunks_of = {name: getattr(moca.cli, name)
-                     for name in ("_blocks", "_json_chunks", "_matrix_json", "_validate_json")}
+                     for name in ("_blocks", "_json_chunks", "_json_list", "_matrix_json",
+                                  "_validate_json")}
         made, outer = [], []
 
         def interrupted(name):
@@ -1053,6 +1057,30 @@ def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(monkeypatch,
     assert 0 < len(calls) <= 10
 
 
+@pytest.mark.parametrize("argv, records", [
+    pytest.param(("evaluate", "--profile", "strong_hierarchy",
+                  "--flag", "manager_attends_meeting"), 48, id="evaluate"),
+    pytest.param(("diff", "--profile", "strong_hierarchy",
+                  "--flag-b", "manager_attends_meeting"), 2, id="diff"),
+    pytest.param(("diff", "--profile", "strong_hierarchy", "--all"), 48, id="diff-all"),
+])
+def test_evaluate_and_diff_json_make_no_encoder_call(monkeypatch, run, argv, records):
+    """Every assessment and every diff is laid out by its fixed template: a
+    renderer that fell back to the encoder would still pass every golden."""
+    calls = []
+    iterencode = moca.cli._JSON.iterencode
+
+    def counting(value):
+        calls.append(value)
+        return iterencode(value)
+
+    monkeypatch.setattr(moca.cli._JSON, "iterencode", counting)
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == records
+    assert calls == []
+
+
 #: Strings at the edges of JSON escaping: quotes, backslashes, control
 #: characters, DEL, U+2028, non-ASCII and non-BMP text, from a fixed alphabet.
 _finding_strings = st.text(st.sampled_from(
@@ -1110,6 +1138,45 @@ def test_matrix_json_lays_out_any_matrix_as_json_dumps(matrix, size):
         chunks = list(_matrix_json(matrix))
     assert "".join(chunks) == _dumps(_matrix_payload(matrix))
     assert all(chunks)
+
+
+_ints = st.integers(-2, 2) | st.integers(-2**70, 2**70)
+_id_tuples = st.lists(_finding_strings, max_size=3).map(tuple)
+_contributions = st.builds(engine.Contribution, _finding_strings, _ints, st.sampled_from(Level),
+                           st.sampled_from(engine.ConditionStatus))
+_assessments = st.builds(engine.Assessment, _finding_strings,
+                         st.lists(_contributions, max_size=3).map(tuple), _ints,
+                         st.sampled_from(engine.ImpactLabel), _id_tuples, _id_tuples)
+_element_diffs = st.builds(engine.ElementDiff, _finding_strings, _ints, _ints, _ints, _id_tuples)
+
+
+def _assessment_payload(a):
+    return {"element": a.element,
+            "contributions": [{"rule_id": c.rule_id, "value": c.value,
+                               "fired_level": c.fired_level.value,
+                               "condition_status": c.condition_status.value}
+                              for c in a.contributions],
+            "score": a.score, "label": a.label.value,
+            "indeterminate_rules": list(a.indeterminate_rules),
+            "gated_rules": list(a.gated_rules)}
+
+
+def _diff_payload(d):
+    return {"element": d.element, "score_a": d.score_a, "score_b": d.score_b,
+            "delta": d.delta, "rules_changed": list(d.rules_changed)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(assessments=st.lists(_assessments, max_size=5), diffs=st.lists(_element_diffs, max_size=5),
+       size=st.integers(1, 3) | st.just(2000))
+def test_evaluate_and_diff_json_lay_out_any_record_as_json_dumps(assessments, diffs, size):
+    """The fixed assessment and diff layouts are json.dumps's, in any chunking."""
+    with unittest.mock.patch.object(moca.cli, "_SLICE", size):
+        for records, lay_out, payload in ((assessments, _assessment_layouts, _assessment_payload),
+                                          (diffs, _diff_layouts, _diff_payload)):
+            chunks = list(_json_list(records, lay_out))
+            assert "".join(chunks) == _dumps([payload(r) for r in records])
+            assert all(chunks)
 
 
 @pytest.mark.parametrize("uncovered", [0, 1, 2000, 2001, 4001])
