@@ -121,6 +121,8 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]):
 _SLICE = 2000
 _JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
 _quote = json.encoder.encode_basestring  # the string escaper of json.dumps(ensure_ascii=False)
+# Layouts read an enum's _value_ or _name_, a plain attribute, where .value and .name
+# are Python-level descriptors. Every value is a lowercase word, written unescaped.
 
 
 def _json_chunks(payload) -> Iterator[str]:
@@ -165,7 +167,7 @@ def _where(finding: Finding) -> str:
 
 
 def _finding_line(finding: Finding) -> str:
-    line = f"{finding.severity.value} {finding.code}: {finding.message}"
+    line = f"{finding.severity._value_} {finding.code}: {finding.message}"
     if finding.entity_id:
         line += f" [{finding.entity_id}]"
     return line + _where(finding)
@@ -268,7 +270,7 @@ def _validate_json(summary: dict | None, findings: Sequence[Finding],
 
 
 def _finding_layouts(findings: Sequence[Finding]) -> list[str]:
-    return [f'    {{\n      "severity": {_quote(f.severity.value)},\n'
+    return [f'    {{\n      "severity": "{f.severity._value_}",\n'
             f'      "code": {_quote(f.code)},\n      "message": {_quote(f.message)},\n'
             f'      "entity_id": {"null" if f.entity_id is None else _quote(f.entity_id)},\n'
             f'      "path": {"null" if f.path is None else _quote(f.path)},\n'
@@ -307,15 +309,15 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 def _assessment_layouts(assessments: Sequence[engine.Assessment]) -> list[str]:
     return [f'  {{\n    "element": {_quote(a.element)},\n'
             f'    "contributions": {_field_list(a.contributions, _contribution_layout)},\n'
-            f'    "score": {a.score!s},\n    "label": {_quote(a.label.value)},\n'
+            f'    "score": {a.score!s},\n    "label": "{a.label._value_}",\n'
             f'    "indeterminate_rules": {_field_list(a.indeterminate_rules)},\n'
             f'    "gated_rules": {_field_list(a.gated_rules)}\n  }}' for a in assessments]
 
 
 def _contribution_layout(c: engine.Contribution) -> str:
     return (f'{{\n        "rule_id": {_quote(c.rule_id)},\n        "value": {c.value!s},\n'
-            f'        "fired_level": {_quote(c.fired_level.value)},\n'
-            f'        "condition_status": {_quote(c.condition_status.value)}\n      }}')
+            f'        "fired_level": "{c.fired_level._value_}",\n'
+            f'        "condition_status": "{c.condition_status._value_}"\n      }}')
 
 
 def _assessment_json(a: engine.Assessment) -> dict:
@@ -341,7 +343,7 @@ def _assessment_json(a: engine.Assessment) -> dict:
 def _assessments_text(kb: KnowledgeBase,
                       assessments: Sequence[engine.Assessment]) -> Iterator[str]:
     for a in assessments:
-        header = f"{a.element}: {a.label.value.replace('_', ' ')}"
+        header = f"{a.element}: {a.label._value_.replace('_', ' ')}"
         if a.contributions:
             header += f" ({', '.join(c.rule_id for c in a.contributions)})"
         yield header
@@ -349,7 +351,7 @@ def _assessments_text(kb: KnowledgeBase,
         for c in a.contributions:
             rule = kb.rule(c.rule_id)
             detail = (f"  fired: {c.rule_id} {c.value:+d} "
-                      f"[{c.fired_level.name} {rule.metric}]")
+                      f"[{c.fired_level._name_} {rule.metric}]")
             if rule.rationale:
                 detail += f" because {rule.rationale}"
             yield detail
@@ -369,22 +371,18 @@ def cmd_matrix(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return EXIT_OK, _blocks(_matrix_csv(matrix))
 
 
-def _cell_token(entry: engine.MatrixEntry) -> str:
-    token = f"{entry.rule_id}:{entry.stated_level.name}:{entry.sign.name}"
-    if entry.condition is not None:
-        token += f"@{entry.condition}"
-    return token
-
-
 def _matrix_csv(matrix: engine.MatrixExport) -> Iterator[str]:
     """CSV lines needing no quoting: ids and cell tokens are identifiers joined
-    by ':', '@' and ';', which the model's constructors enforce."""
-    rows = {metric_id: dict.fromkeys(matrix.elements, "") for metric_id in matrix.metrics}
+    by ':', '@' and ';', which the model's constructors enforce. A cell token
+    is RULE:LEVEL:SIGN, with @CONDITION when the rule has one."""
+    column = {element_id: i for i, element_id in enumerate(matrix.elements, 1)}
+    rows = {metric_id: [metric_id, *[""] * len(column)] for metric_id in matrix.metrics}
     for (metric_id, element_id), entries in matrix.cells.items():
-        rows[metric_id][element_id] = ";".join(_cell_token(entry) for entry in entries)
+        rows[metric_id][column[element_id]] = ";".join([
+            f"{e.rule_id}:{e.stated_level._name_}:{e.sign._name_}"
+            f"{'' if e.condition is None else '@' + e.condition}" for e in entries])
     yield ",".join(["metric", *matrix.elements])
-    for metric_id, row in rows.items():
-        yield ",".join([metric_id, *row.values()])
+    yield from map(",".join, rows.values())
 
 
 def _matrix_json(matrix: engine.MatrixExport) -> Iterator[str]:
@@ -409,8 +407,8 @@ def _matrix_json(matrix: engine.MatrixExport) -> Iterator[str]:
         for i, entries in cells:
             row[i] = keys[i] + "[\n" + ",\n".join([
                 f'        {{\n          "rule_id": {_quote(e.rule_id)},\n'
-                f'          "stated_level": {_quote(e.stated_level.value)},\n'
-                f'          "sign": {_quote(e.sign.value)},\n'
+                f'          "stated_level": "{e.stated_level._value_}",\n'
+                f'          "sign": "{e.sign._value_}",\n'
                 f'          "condition": {"null" if e.condition is None else _quote(e.condition)}'
                 f'\n        }}'
                 for e in entries]) + "\n      ]"

@@ -326,14 +326,12 @@ def export_matrix(kb: KnowledgeBase) -> MatrixExport:
     """
     metric_ids = tuple(m.id for m in kb.metrics)
     element_ids = tuple(e.id for e in kb.rule_eligible_elements)
-    cells: dict[tuple[str, str], list[MatrixEntry]] = {}
+    cells: dict[tuple[str, str], tuple[MatrixEntry, ...]] = {}
     for element_id in element_ids:
+        column: dict[str, list[MatrixEntry]] = {}
         for rule in kb.rules_for(element_id):
-            cells.setdefault((rule.metric, element_id), []).append(MatrixEntry(
-                rule_id=rule.id, stated_level=rule.stated_level,
-                sign=rule.sign, condition=rule.condition))
-    return MatrixExport(
-        metrics=metric_ids,
-        elements=element_ids,
-        cells={key: tuple(entries) for key, entries in cells.items()},
-    )
+            column.setdefault(rule.metric, []).append(
+                MatrixEntry(rule.id, rule.stated_level, rule.sign, rule.condition))
+        for metric_id, entries in column.items():
+            cells[metric_id, element_id] = tuple(entries)
+    return MatrixExport(metrics=metric_ids, elements=element_ids, cells=cells)

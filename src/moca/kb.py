@@ -10,9 +10,10 @@ A knowledge base is assembled from plain data files:
 * ``*.moca`` files hold impact rules and conditions in the rule language.
 
 Loading is deterministic and independent of the order paths are given in.
-Constructing a KnowledgeBase is the one validity gate: unique ids,
-references across the whole file set and a manifest's declared counts are
-checked there, and a file set with any error-severity finding never
+Constructing a KnowledgeBase is the one validity gate for unique ids,
+references across the file set and a manifest's counts: set operations over
+id and reference columns check them, and a per-entity loop words findings
+only when a check fails. A file set with any error-severity finding never
 produces a knowledge base. validate_completeness adds a coverage warning for
 each matrix cell no rule covers, once a manifest declares the matrix.
 
@@ -27,7 +28,8 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -125,31 +127,37 @@ def _reference_findings(kb: KnowledgeBase) -> list[Finding]:
                     f"condition {cond.id} references unknown metric '{term.metric}'",
                     cond.id)
 
-    relations: set[tuple[str, str, str | None]] = set()
     eligible = {e.id for e in kb.elements if e.kind in MATRIX_KINDS}  # one kind test per element
-    for rule in kb.rules:
-        if rule.metric not in metrics:
-            err("dangling-metric",
-                f"rule {rule.id} references unknown metric '{rule.metric}'", rule.id)
-        element = elements.get(rule.element)
-        if element is None:
-            err("dangling-element",
-                f"rule {rule.id} references unknown element '{rule.element}'", rule.id)
-        elif rule.element not in eligible:
-            findings.append(Finding(
-                Severity.WARNING, "rule-target-kind",
-                f"rule {rule.id} targets {element.kind.value} "
-                f"'{rule.element}', which is outside the impact matrix",
-                entity_id=rule.id))
-        if rule.condition is not None and rule.condition not in kb._condition_index:
-            err("dangling-condition",
-                f"rule {rule.id} references unknown condition '{rule.condition}'", rule.id)
-        relation = (rule.metric, rule.element, rule.condition)
-        if relation in relations:
-            err("duplicate-relation",
-                f"rule {rule.id} duplicates the (metric, element, condition) "
-                f"relation {relation!r}", rule.id)
-        relations.add(relation)
+    # Set checks over the rules' columns pass a clean rule set; only a failed
+    # one runs the per-rule loop, which words each finding in rule order.
+    if not (len(set(map(attrgetter("metric", "element", "condition"), kb.rules))) == len(kb.rules)
+            and metrics.keys() >= set(map(attrgetter("metric"), kb.rules))
+            and eligible.issuperset(map(attrgetter("element"), kb.rules))
+            and {None, *kb._condition_index}.issuperset(map(attrgetter("condition"), kb.rules))):
+        relations = set()
+        for rule in kb.rules:
+            if rule.metric not in metrics:
+                err("dangling-metric",
+                    f"rule {rule.id} references unknown metric '{rule.metric}'", rule.id)
+            element = elements.get(rule.element)
+            if element is None:
+                err("dangling-element",
+                    f"rule {rule.id} references unknown element '{rule.element}'", rule.id)
+            elif rule.element not in eligible:
+                findings.append(Finding(
+                    Severity.WARNING, "rule-target-kind",
+                    f"rule {rule.id} targets {element.kind.value} "
+                    f"'{rule.element}', which is outside the impact matrix",
+                    entity_id=rule.id))
+            if rule.condition is not None and rule.condition not in kb._condition_index:
+                err("dangling-condition",
+                    f"rule {rule.id} references unknown condition '{rule.condition}'", rule.id)
+            relation = (rule.metric, rule.element, rule.condition)
+            if relation in relations:
+                err("duplicate-relation",
+                    f"rule {rule.id} duplicates the (metric, element, condition) "
+                    f"relation {relation!r}", rule.id)
+            relations.add(relation)
 
     for profile in kb.profiles:
         for metric_id in profile.values:
@@ -203,9 +211,9 @@ def _lookup(label: str):
 class KnowledgeBase:
     """Immutable, fully resolved knowledge base.
 
-    Construction is the one validity gate. One pass over each entity tuple
-    builds its id index and finds duplicate ids; the reference checks read
-    those indexes; a manifest's counts are then checked against the entities.
+    Construction is the one validity gate. An id index shorter than its
+    entity tuple means a duplicate id; the reference checks read those
+    indexes; a manifest's counts are then checked against the entities.
     Any error raises KnowledgeBaseError (a ValueError) whose report holds
     every finding; a valid KB keeps the warnings for load() to report.
     """
@@ -221,14 +229,16 @@ class KnowledgeBase:
         findings: list[Finding] = []
         for name, label, key in _INDEXED:
             entities = tuple(getattr(self, name))
-            index = {}
-            for entity in entities:
-                entity_id = getattr(entity, key)
-                if entity_id in index:
-                    findings.append(Finding(
-                        Severity.ERROR, "duplicate-id",
-                        f"duplicate {label} id '{entity_id}'", entity_id=entity_id))
-                index[entity_id] = entity
+            index = dict(zip(map(attrgetter(key), entities), entities))
+            if len(index) < len(entities):  # a duplicate id: word each one in order
+                index = {}
+                for entity in entities:
+                    entity_id = getattr(entity, key)
+                    if entity_id in index:
+                        findings.append(Finding(
+                            Severity.ERROR, "duplicate-id",
+                            f"duplicate {label} id '{entity_id}'", entity_id=entity_id))
+                    index[entity_id] = entity
             object.__setattr__(self, name, entities)
             object.__setattr__(self, f"_{label}_index", index)
         findings.extend(_reference_findings(self))
@@ -274,12 +284,15 @@ def validate_completeness(kb: KnowledgeBase) -> ValidationReport:
     """
     if kb.manifest is None:
         return ValidationReport(())
-    covered = {(r.metric, r.element) for r in kb.rules}
+    # A member read through its enum class is a Python-level descriptor call: one, not one a cell.
+    warning = Severity.WARNING
+    covered = {metric.id: set() for metric in kb.metrics}
+    for rule in kb.rules:
+        covered[rule.metric].add(rule.element)
     element_ids = [e.id for e in kb.rule_eligible_elements]
     return ValidationReport(tuple([
-        Finding(Severity.WARNING, "uncovered-cell", f"no rule covers ({m}, {e})", f"{m}:{e}")
-        for m in [metric.id for metric in kb.metrics] for e in element_ids
-        if (m, e) not in covered]))
+        Finding(warning, "uncovered-cell", f"no rule covers ({m}, {e})", f"{m}:{e}")
+        for m, have in covered.items() for e in element_ids if e not in have]))
 
 
 @_record
@@ -323,31 +336,35 @@ def _string(item: dict, key: str | None) -> str | None:
 
 
 _STRING = (lambda raw: isinstance(raw, str), "a string")
-_REQUIRED, _OPTIONAL = True, False
+
+
+def _shape(record: type, id_key: str | None, checks: dict, optional=()) -> tuple:
+    """A _SHAPES entry: an Enum check becomes its {value: member} table, and
+    every key but the optional ones is required."""
+    tables = {key: {m.value: m for m in check} if isinstance(check, type) else check
+              for key, check in checks.items()}
+    return record, id_key, tables, checks.keys() - {*optional}
+
 
 #: Each JSON shape: its record type, the key whose string value names an
-#: item in findings, and its fields in checking order. A field maps its key
-#: to (check, required). A check is an Enum, matched case-insensitively; a
-#: (test, words) pair, where words end "<shape> <key> must be ..."; or None,
-#: leaving the value to the record, as the manifest's counts are.
+#: item in findings, a check for each field in checking order, and its
+#: required keys: all but the optional ones. A check is an Enum, matched
+#: case-insensitively; a (test, words) pair, where words end "<shape> <key>
+#: must be ..."; or None, leaving the value to the record.
 _SHAPES = {
-    "metric": (CulturalMetric, "id", {
-        "id": (_STRING, _REQUIRED), "name": (_STRING, _REQUIRED),
-        "low_pole": (_STRING, _REQUIRED), "high_pole": (_STRING, _REQUIRED),
-        "level": (CultureLevel, _REQUIRED), "source": (MetricSource, _REQUIRED)}),
-    "element": (AgileElement, "id", {
-        "id": (_STRING, _REQUIRED), "name": (_STRING, _REQUIRED),
-        "kind": (ElementKind, _REQUIRED),
-        "category": ((lambda raw: raw is None or isinstance(raw, str),
-                      "a string or null"), _OPTIONAL),
-        "source_methods": ((lambda raw: isinstance(raw, list)
-                            and all(isinstance(m, str) for m in raw),
-                            "a list of strings"), _OPTIONAL)}),
-    "profile": (CulturalProfile, "name", {
-        "name": (_STRING, _REQUIRED),
-        "values": ((lambda raw: isinstance(raw, dict), "an object"), _REQUIRED)}),
-    "manifest": (ExpectedCounts, None, dict.fromkeys(
-        ("metrics", "practices", "roles", "practice_categories"), (None, _REQUIRED))),
+    "metric": _shape(CulturalMetric, "id", {
+        "id": _STRING, "name": _STRING, "low_pole": _STRING, "high_pole": _STRING,
+        "level": CultureLevel, "source": MetricSource}),
+    "element": _shape(AgileElement, "id", {
+        "id": _STRING, "name": _STRING, "kind": ElementKind,
+        "category": (lambda raw: raw is None or isinstance(raw, str), "a string or null"),
+        "source_methods": (lambda raw: isinstance(raw, list)
+                           and all(isinstance(m, str) for m in raw), "a list of strings")},
+        optional=("category", "source_methods")),
+    "profile": _shape(CulturalProfile, "name", {
+        "name": _STRING, "values": (lambda raw: isinstance(raw, dict), "an object")}),
+    "manifest": _shape(ExpectedCounts, None, dict.fromkeys(
+        ("metrics", "practices", "roles", "practice_categories"))),
 }
 
 
@@ -358,45 +375,44 @@ def _parse_item(shape: str, item: dict, path: str, out: _Collector):
     finding: unknown-field and missing-field, then invalid-value for a value
     of the wrong type, then invalid-entity for a rule the record refuses.
     """
-    record, id_key, fields = _SHAPES[shape]
-    entity_id = _string(item, id_key)
-    before = len(out.findings)
-
-    def error(code: str, message: str):
-        out.error(code, message, entity_id=entity_id, path=path)
-
-    for key in sorted(item.keys() - fields.keys()):
-        error("unknown-field", f"{shape} has unknown field '{key}'")
-    for key in sorted(k for k, (_, required) in fields.items() if required and k not in item):
-        error("missing-field", f"{shape} is missing required field '{key}'")
-    if len(out.findings) > before:
+    record, id_key, fields, required = _SHAPES[shape]
+    # error, which reads the item's id, is made only for an item with a finding.
+    if not (item.keys() <= fields.keys() and item.keys() >= required):
+        error = partial(out.error, entity_id=_string(item, id_key), path=path)
+        for key in sorted(item.keys() - fields.keys()):
+            error("unknown-field", f"{shape} has unknown field '{key}'")
+        for key in sorted(required - item.keys()):
+            error("missing-field", f"{shape} is missing required field '{key}'")
         return
-    values = {}
-    for key, (check, _) in fields.items():
+    values, invalid = {}, []
+    for key, check in fields.items():
         if key not in item:
             continue
         raw = values[key] = item[key]
-        if isinstance(check, type):  # an Enum, matched case-insensitively
-            try:
-                values[key] = check(raw.lower())
+        if type(check) is dict:  # an Enum's {value: member}, matched case-insensitively
+            if isinstance(raw, str) and (member := check.get(raw.lower())) is not None:
+                values[key] = member
                 continue
-            except (AttributeError, ValueError):  # not a string, or no such member
-                words = "one of " + " | ".join(member.value for member in check)
+            words = "one of " + " | ".join(check)
         elif check is None or check[0](raw):
             continue
         else:
             words = check[1]
-        error("invalid-value", f"{shape} {key} must be {words}, got {raw!r}")
-    if len(out.findings) > before:
+        invalid.append(f"{shape} {key} must be {words}, got {raw!r}")
+    if invalid:
+        error = partial(out.error, entity_id=_string(item, id_key), path=path)
+        for message in invalid:
+            error("invalid-value", message)
         return
     try:
         entity = record(**values)
     except ValueError as exc:
-        error("invalid-entity", str(exc))
+        out.error("invalid-entity", str(exc), entity_id=_string(item, id_key), path=path)
         return
-    if shape == "manifest":
+    if shape == "manifest":  # a manifest has no id
         if out.manifest_path is not None:
-            error("duplicate-manifest", f"manifest already declared in {out.manifest_path}")
+            out.error("duplicate-manifest", f"manifest already declared in {out.manifest_path}",
+                      path=path)
             return
         out.manifest_path = path
     out.found[shape].append(entity)

@@ -15,14 +15,15 @@ import unittest.mock
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import moca
 from moca import engine, kb as kb_mod
-from moca.cli import (_assessment_layouts, _blocks, _cell_token, _diff_layouts, _json_chunks,
-                      _json_list, _matrix_csv, _matrix_json, _validate_json, main)
-from moca.kb import Finding, Severity, seed_dir
-from moca.model import ImpactSign, Level
+from moca.cli import (_assessment_layouts, _blocks, _diff_layouts, _json_chunks, _json_list,
+                      _matrix_csv, _matrix_json, _validate_json, main)
+from moca.kb import Finding, KnowledgeBase, Severity, seed_dir
+from moca.model import (AgileElement, ContextFlag, CulturalMetric, CultureLevel, ElementKind,
+                        ImpactCondition, ImpactRule, ImpactSign, Level, MetricSource)
 
 from strategies import knowledge_bases
 from util import MIN_ELEMENTS, MIN_METRICS, write_kb
@@ -430,15 +431,26 @@ class TestMatrix:
 
     @settings(max_examples=100, deadline=None)
     @given(kb=knowledge_bases())
+    @example(kb=KnowledgeBase(
+        metrics=(CulturalMetric("PDI", "Power", CultureLevel.NATIONAL, "low", "high",
+                                MetricSource.HOFSTEDE),),
+        elements=(AgileElement("coach", "Coach", ElementKind.ROLE),),
+        conditions=(ImpactCondition("C1", "c", (ContextFlag("f"),)),),
+        rules=(ImpactRule("R2", "", "PDI", Level.LOW, ImpactSign.POSITIVE, "coach", "C1"),
+               ImpactRule("R1", "", "PDI", Level.HIGH, ImpactSign.NEGATIVE, "coach"))))
     def test_csv_needs_no_quoting(self, kb):
-        """The joined rows equal the csv module's rendering of the same rows."""
+        """The joined rows equal the csv module's rendering of the same rows,
+        each cell's tokens spelled here from the rules' public enum names."""
         matrix = engine.export_matrix(kb)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["metric", *matrix.elements])
         for metric_id in matrix.metrics:
             writer.writerow([metric_id, *(
-                ";".join(_cell_token(e) for e in matrix.cells.get((metric_id, element), ()))
+                ";".join(f"{r.id}:{r.stated_level.name}:{r.sign.name}"
+                         + ("" if r.condition is None else f"@{r.condition}")
+                         for r in sorted(kb.rules, key=lambda r: r.id)
+                         if (r.metric, r.element) == (metric_id, element))
                 for element in matrix.elements)])
         assert "".join(_blocks(_matrix_csv(matrix))) == buffer.getvalue()
 

@@ -4,7 +4,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from moca import kb as kb_mod
 from moca.kb import (
@@ -22,11 +22,13 @@ from moca.kb import (
 from moca.model import (
     AgileElement,
     CulturalMetric,
+    CulturalProfile,
     CultureLevel,
     ElementKind,
     ImpactRule,
     ImpactSign,
     Level,
+    MetricPredicate,
     MetricSource,
     UnknownEntityError,
 )
@@ -318,6 +320,28 @@ class TestLoadFailures:
         assert excinfo.value.report.has_errors
 
 
+class TestEnumValues:
+    def test_enum_values_match_in_any_case(self, tmp_path):
+        shouted = [dict(m, level=m["level"].upper(), source=m["source"].title())
+                   for m in MIN_METRICS]
+        elements = [dict(MIN_ELEMENTS[0], kind="PRACTICE"), dict(MIN_ELEMENTS[1], kind="Role")]
+        assert shouted[0]["level"] == "NATIONAL" and shouted[0]["source"] == "Hofstede"
+        (tmp_path / "mixed").mkdir()
+        (tmp_path / "lower").mkdir()
+        mixed = load_kb(write_kb(tmp_path / "mixed", metrics=shouted, elements=elements))
+        assert mixed == load_kb(write_kb(tmp_path / "lower"))
+
+    @pytest.mark.parametrize("kind", [["practice"], {"k": 1}, None, True],
+                             ids=["list", "object", "null", "true"])
+    def test_non_string_enum_value_is_one_invalid_value(self, tmp_path, kind):
+        paths = write_kb(tmp_path, elements=[dict(MIN_ELEMENTS[1], kind=kind)], rules=None)
+        (finding,) = load(paths).report.findings
+        members = " | ".join(member.value for member in ElementKind)
+        assert members == "practice | role | artifact | technique | tool"
+        assert (finding.code, finding.entity_id, finding.message) == (
+            "invalid-value", "coach", f"element kind must be one of {members}, got {kind!r}")
+
+
 class TestWarnings:
     def test_rule_targeting_artifact_warns(self, tmp_path):
         elements = MIN_ELEMENTS + [
@@ -429,6 +453,120 @@ class TestDirectConstruction:
         report = raised.value.report
         assert codes(report) == ["manifest-mismatch"]
         assert [f.entity_id for f in report.errors] == ["metrics"]
+
+
+#: The entity tuples of a KnowledgeBase in the order it checks their ids.
+ENTITY_IDS = (("metrics", "metric", "id"), ("elements", "element", "id"),
+              ("conditions", "condition", "id"), ("rules", "rule", "id"),
+              ("profiles", "profile", "name"))
+
+
+@st.composite
+def faulty_kb_fields(draw):
+    """KnowledgeBase fields from a valid generated KB, each fault injected or
+    not on its own draw: rules with a dangling metric, element or condition or
+    on an artifact, a copied relation, a repeated id of any entity, profiles
+    over unknown metrics and a manifest that may not match."""
+    kb = draw(knowledge_bases())
+    fields = {"metrics": list(kb.metrics), "elements": list(kb.elements),
+              "conditions": list(kb.conditions), "rules": list(kb.rules), "profiles": []}
+    if draw(st.booleans()):
+        fields["elements"].append(AgileElement("board", "Board", ElementKind.ARTIFACT))
+    metric_ids = [m.id for m in kb.metrics]
+    element_ids = [e.id for e in kb.elements] + ["board"]
+    condition_ids = [None] + [c.id for c in kb.conditions]
+    for i in range(draw(st.integers(0, 4))):
+        fields["rules"].append(ImpactRule(
+            f"X{i}", "", draw(st.sampled_from(metric_ids + ["ZZ"])), Level.HIGH,
+            ImpactSign.POSITIVE, draw(st.sampled_from(element_ids + ["ghost"])),
+            draw(st.sampled_from(condition_ids + ["C9"]))))
+    if fields["rules"] and draw(st.booleans()):
+        fields["rules"].append(dataclasses.replace(
+            draw(st.sampled_from(fields["rules"])), id="Copy"))
+    for _ in range(draw(st.integers(0, 3))):
+        fields["profiles"].append(CulturalProfile(
+            draw(st.sampled_from(["p1", "p2"])),
+            dict.fromkeys(draw(st.lists(st.sampled_from(metric_ids + ["QQ"]))), 50)))
+    for name in draw(st.lists(st.sampled_from(list(fields)), max_size=2)):
+        if fields[name]:
+            fields[name].append(draw(st.sampled_from(fields[name])))
+    fields = {name: tuple(draw(st.permutations(entities))) for name, entities in fields.items()}
+    if draw(st.booleans()):
+        fields["manifest"] = ExpectedCounts(*draw(st.tuples(*[st.integers(0, 6)] * 4)))
+    return fields
+
+
+def integrity_oracle(fields):
+    """The findings KnowledgeBase(**fields) must report, found rule by rule
+    with linear scans of the entity tuples, in the order construction reports them."""
+    findings = []
+    for name, label, key in ENTITY_IDS:
+        seen = []
+        for entity in fields.get(name, ()):
+            entity_id = getattr(entity, key)
+            if entity_id in seen:
+                findings.append(Finding(Severity.ERROR, "duplicate-id",
+                                        f"duplicate {label} id '{entity_id}'", entity_id))
+            seen.append(entity_id)
+    metrics, elements = fields["metrics"], fields["elements"]
+    conditions, rules = fields["conditions"], fields["rules"]
+
+    def error(code, message, entity_id):
+        findings.append(Finding(Severity.ERROR, code, message, entity_id))
+
+    for cond in conditions:
+        for term in cond.terms:
+            if isinstance(term, MetricPredicate) and all(m.id != term.metric for m in metrics):
+                error("dangling-metric",
+                      f"condition {cond.id} references unknown metric '{term.metric}'", cond.id)
+    for i, rule in enumerate(rules):
+        if all(m.id != rule.metric for m in metrics):
+            error("dangling-metric",
+                  f"rule {rule.id} references unknown metric '{rule.metric}'", rule.id)
+        targets = [e for e in elements if e.id == rule.element]
+        if not targets:
+            error("dangling-element",
+                  f"rule {rule.id} references unknown element '{rule.element}'", rule.id)
+        elif all(e.kind not in (ElementKind.PRACTICE, ElementKind.ROLE) for e in targets):
+            findings.append(Finding(
+                Severity.WARNING, "rule-target-kind",
+                f"rule {rule.id} targets {targets[-1].kind.value} '{rule.element}', "
+                "which is outside the impact matrix", rule.id))
+        if rule.condition is not None and all(c.id != rule.condition for c in conditions):
+            error("dangling-condition",
+                  f"rule {rule.id} references unknown condition '{rule.condition}'", rule.id)
+        relation = (rule.metric, rule.element, rule.condition)
+        if any((r.metric, r.element, r.condition) == relation for r in rules[:i]):
+            error("duplicate-relation", f"rule {rule.id} duplicates the (metric, element, "
+                  f"condition) relation {relation!r}", rule.id)
+    for profile in fields["profiles"]:
+        for metric_id in profile.values:
+            if all(m.id != metric_id for m in metrics):
+                error("dangling-metric",
+                      f"profile '{profile.name}' references unknown metric '{metric_id}'",
+                      profile.name)
+    manifest = fields.get("manifest")
+    if manifest is not None:
+        practices = [e for e in elements if e.kind is ElementKind.PRACTICE]
+        for name, found in (("metrics", len(metrics)), ("practices", len(practices)),
+                            ("roles", sum(e.kind is ElementKind.ROLE for e in elements)),
+                            ("practice_categories", len({e.category for e in practices}))):
+            if found != getattr(manifest, name):
+                error("manifest-mismatch",
+                      f"manifest declares {getattr(manifest, name)} {name}, found {found}", name)
+    return findings
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=faulty_kb_fields())
+def test_construction_findings_equal_a_per_rule_oracle(fields):
+    expected = integrity_oracle(fields)
+    try:
+        found = KnowledgeBase(**fields)._warnings
+    except KnowledgeBaseError as exc:
+        found = exc.report.findings
+        assert any(f.severity is Severity.ERROR for f in expected)
+    assert list(found) == expected
 
 
 class TestProfilesFile:
