@@ -25,13 +25,13 @@ from .model import (
     ConfigurationError,
     CulturalProfile,
     DEFAULT_THRESHOLDS,
-    ElementKind,
     ImpactCondition,
     ImpactRule,
     ImpactSign,
     MocaError,
     UnknownEntityError,
     check_thresholds,
+    _PRACTICE, _ROLE,
     _gc_paused,
 )
 
@@ -245,8 +245,8 @@ def cmd_validate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def _kb_summary(kb: KnowledgeBase) -> dict:
-    practices = sum(1 for e in kb.elements if e.kind is ElementKind.PRACTICE)
-    roles = sum(1 for e in kb.elements if e.kind is ElementKind.ROLE)
+    practices = sum(1 for e in kb.elements if e.kind is _PRACTICE)
+    roles = sum(1 for e in kb.elements if e.kind is _ROLE)
     return {
         "metrics": len(kb.metrics),
         "elements": len(kb.elements),
@@ -497,11 +497,13 @@ def _diff_text(diffs: Sequence[engine.ElementDiff]) -> Iterator[str]:
 
 def _thresholds_arg(text: str) -> tuple[int, int]:
     try:
-        low, high = (int(part) for part in text.split(","))
+        low, high = map(int, text.split(","))
         return check_thresholds((low, high))
-    except (ValueError, ConfigurationError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected LOW,HIGH with 0 < LOW < HIGH < 100: {exc}") from None
+    except ValueError:  # from int() or the unpacking, in words meant for Python, not the user
+        problem = f"expected two integers, got {text!r}"
+    except ConfigurationError as exc:
+        problem = str(exc)
+    raise argparse.ArgumentTypeError(f"expected LOW,HIGH with 0 < LOW < HIGH < 100: {problem}")
 
 
 def _path_arg(text: str) -> Path | None:

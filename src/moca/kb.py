@@ -42,11 +42,11 @@ from .model import (
     ElementKind,
     ImpactCondition,
     ImpactRule,
-    MATRIX_KINDS,
     MetricPredicate,
     MetricSource,
     MocaError,
     UnknownEntityError,
+    _MATRIX_KINDS, _PRACTICE, _ROLE,
     _gc_paused,
     _record,
 )
@@ -127,7 +127,7 @@ def _reference_findings(kb: KnowledgeBase) -> list[Finding]:
                     f"condition {cond.id} references unknown metric '{term.metric}'",
                     cond.id)
 
-    eligible = {e.id for e in kb.elements if e.kind in MATRIX_KINDS}  # one kind test per element
+    eligible = {e.id for e in kb.elements if e.kind in _MATRIX_KINDS}  # one kind test per element
     # Set checks over the rules' columns pass a clean rule set; only a failed
     # one runs the per-rule loop, which words each finding in rule order.
     if not (len(set(map(attrgetter("metric", "element", "condition"), kb.rules))) == len(kb.rules)
@@ -171,11 +171,11 @@ def _reference_findings(kb: KnowledgeBase) -> list[Finding]:
 
 def _count_findings(kb: KnowledgeBase) -> Iterable[Finding]:
     """manifest-mismatch findings: declared counts the KB does not have."""
-    practices = [e for e in kb.elements if e.kind is ElementKind.PRACTICE]
+    practices = [e for e in kb.elements if e.kind is _PRACTICE]
     actual = {
         "metrics": len(kb.metrics),
         "practices": len(practices),
-        "roles": sum(1 for e in kb.elements if e.kind is ElementKind.ROLE),
+        "roles": sum(1 for e in kb.elements if e.kind is _ROLE),
         "practice_categories": len({p.category for p in practices}),
     }
     for name, found in actual.items():
@@ -254,14 +254,14 @@ class KnowledgeBase:
         grouped: dict[str, list[ImpactRule]] = {}
         for rule in self.rules:
             grouped.setdefault(rule.element, []).append(rule)
-        return {eid: tuple(sorted(group, key=lambda r: r.id))
+        return {eid: tuple(sorted(group, key=attrgetter("id")))
                 for eid, group in grouped.items()}
 
     @cached_property
     def rule_eligible_elements(self) -> tuple[AgileElement, ...]:
         """Matrix-eligible elements (practices and roles), id-sorted."""
         return tuple(sorted(
-            (e for e in self.elements if e.kind in MATRIX_KINDS), key=lambda e: e.id))
+            (e for e in self.elements if e.kind in _MATRIX_KINDS), key=attrgetter("id")))
 
     #: The five lookups by id: kb.metric(id), .element, .condition, .rule and
     #: .profile(name), each raising UnknownEntityError for an unknown id.

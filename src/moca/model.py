@@ -12,12 +12,12 @@ Rules are authored in stated-level + sign form and normalized internally
 to a single polarity, so the inverse effect at the opposite level is
 derived rather than written down twice.
 
-The value types here and in ``kb``, ``engine`` and ``dsl`` are immutable
-slotted dataclasses built by ``_record``: assigning or deleting an attribute
-raises ``dataclasses.FrozenInstanceError``, and instances carry no
-``__dict__``. moca builds them by the tens of thousands (rules, findings,
-matrix entries), so their constructor stores fields through the slot
-descriptors. A copy or a pickle calls the constructor again.
+The value types here and in ``kb``, ``engine`` and ``dsl`` are immutable slotted
+dataclasses built by ``_record``: assigning or deleting an attribute raises
+``dataclasses.FrozenInstanceError``, and instances carry no ``__dict__``. moca
+builds them by the tens of thousands (rules, findings, matrix entries), so their
+constructor stores fields through the slot descriptors; a copy or a pickle calls it
+again. They share one ``__eq__``, ``__hash__`` and ``__repr__``, not one per class.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import gc
 import re
+import reprlib
 import threading
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
@@ -86,10 +87,31 @@ def _reduce(record):
     return type(record), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
 
+def _compared(record):
+    return tuple([getattr(record, name) for name in record._compared_fields])
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _compared(self) == _compared(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(_compared(self))
+
+
+@reprlib.recursive_repr()  # the guard dataclasses copies: "..." for a record inside itself
+def _repr(self):
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown_fields])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
 def _record(cls=None, *, unchecked=False):
-    """dataclass(slots=True) with field-tuple equality and hashing, made
-    immutable here: assigning or deleting any attribute raises
-    FrozenInstanceError, and _reduce copies and pickles it.
+    """dataclass(slots=True) for the fields, __match_args__ and the slots, made immutable
+    here: assigning or deleting any attribute raises FrozenInstanceError, and _reduce
+    copies and pickles it. The shared _eq, _hash and _repr read the field-name tuples
+    stored on the class, and act as dataclass(frozen=True)'s do (a field's hash= is not read).
 
     The __init__ is generated here, with the parameters, defaults and
     annotations the dataclass's own would have; it stores each field
@@ -99,15 +121,18 @@ def _record(cls=None, *, unchecked=False):
     field) for fields already proven: it stores them all, calling no __post_init__."""
     if cls is None:
         return functools.partial(_record, unchecked=unchecked)
-    cls = dataclass(slots=True, init=False, unsafe_hash=True)(cls)
+    cls = dataclass(slots=True, init=False, eq=False, repr=False)(cls)
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-    cls.__reduce__ = _reduce
+    cls.__reduce__, cls.__eq__, cls.__hash__, cls.__repr__ = _reduce, _eq, _hash, _repr
+    all_fields = fields(cls)
+    cls._compared_fields, cls._shown_fields = (
+        tuple(f.name for f in all_fields if getattr(f, flag)) for flag in ("compare", "repr"))
     if any(f.default_factory is not MISSING or not (f.init or f.default is MISSING)
-           for f in fields(cls)):
+           for f in all_fields):
         raise TypeError(f"{cls.__name__}: _record takes no default_factory "
                         "and no init=False field with a default")
-    params = [f for f in fields(cls) if f.init]
-    namespace = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fields(cls)}
+    params = [f for f in all_fields if f.init]
+    namespace = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in all_fields}
     namespace.update({f"_default_{f.name}": f.default for f in params if f.default is not MISSING})
     signature = "".join(f", {f.name}" if f.default is MISSING else f", {f.name}=_default_{f.name}"
                         for f in params)
@@ -122,8 +147,8 @@ def _record(cls=None, *, unchecked=False):
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     if unchecked:  # generated only where used: each exec costs start-up time
-        exec(f"def _unchecked(cls{''.join(f', {f.name}' for f in fields(cls))}):\n"
-             f"    self = object.__new__(cls){stores(fields(cls))}\n    return self", namespace)
+        exec(f"def _unchecked(cls{''.join(f', {f.name}' for f in all_fields)}):\n"
+             f"    self = object.__new__(cls){stores(all_fields)}\n    return self", namespace)
         cls._unchecked = classmethod(namespace["_unchecked"])
     return cls
 
@@ -192,9 +217,10 @@ class ImpactSign(Enum):
     NEGATIVE = "negative"
 
 
-# Read for every rule built: a module global is read several times faster
-# than a member through its enum class.
+# Read per rule or element: a module global is several times faster than a member read
+# through its enum class, and a tuple tests membership without Enum.__hash__.
 _MEDIUM, _HIGH, _POSITIVE = Level.MEDIUM, Level.HIGH, ImpactSign.POSITIVE
+_PRACTICE, _ROLE, _MATRIX_KINDS = ElementKind.PRACTICE, ElementKind.ROLE, tuple(MATRIX_KINDS)
 
 
 def _polarity(stated_level: Level, sign: ImpactSign) -> int:
@@ -282,7 +308,7 @@ class AgileElement:
     def __post_init__(self):
         if not IDENT_RE.match(self.id):
             raise ValueError(f"element id must be an identifier, got {self.id!r}")
-        if self.kind is ElementKind.PRACTICE and not self.category:
+        if self.kind is _PRACTICE and not self.category:
             raise ValueError(f"practice {self.id} must declare a category")
         object.__setattr__(self, "source_methods", tuple(self.source_methods))
 

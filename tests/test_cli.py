@@ -305,11 +305,12 @@ class TestEvaluate:
         assert code == 2
         assert "invalid choice" in err
 
-    @pytest.mark.parametrize("bad", ["67,33", "0,50", "40,140", "a,b", "50"])
+    @pytest.mark.parametrize("bad", ["67,33", "0,50", "40,140", "a,b", "50", "1,2,3", ","])
     def test_bad_thresholds_exit_2(self, run, bad):
         code, _, err = run(*EVAL_ARGS, "--thresholds", bad)
         assert code == 2
         assert "LOW,HIGH" in err
+        assert "unpack" not in err and "literal" not in err
 
     def test_thresholds_change_banding(self, run):
         # UAI 75 is HIGH at 33,67 but MEDIUM at 74,76

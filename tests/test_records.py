@@ -167,3 +167,52 @@ def test_record_refuses_a_field_its_init_cannot_fill(spec):
         @model._record
         class Refused:
             value: int = spec
+
+
+@model._record
+class _Pair:
+    left: object
+    right: object = None
+
+
+@model._record
+class _OtherPair:
+    left: object
+    right: object = None
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_repr_of_a_record_inside_itself(cls):
+    a = SAMPLES[cls]()
+    init_args = {f.name: getattr(a, f.name) for f in dataclasses.fields(cls) if f.init}
+    b = _reference(cls)(**init_args)
+    name = next(f.name for f in dataclasses.fields(cls) if f.repr)
+    for record in (a, b):
+        object.__setattr__(record, name, [record])
+    assert f"{name}=[...]" in repr(a)
+    assert repr(a) == repr(b)
+
+
+def test_records_of_another_class_are_unequal():
+    a = _Pair(1, 2)
+    assert a.__eq__(object()) is NotImplemented
+    assert a.__eq__(_OtherPair(1, 2)) is NotImplemented
+    assert a != _OtherPair(1, 2) and a != (1, 2) and a == _Pair(1, 2)
+
+
+def test_nan_fields_compare_as_field_tuples():
+    nan, reference_pair = float("nan"), _reference(_Pair)
+    a, reference = _Pair(nan), reference_pair(nan)
+    assert (a == a) is (reference == reference) is True
+    assert (a == _Pair(float("nan"))) is (reference == reference_pair(float("nan"))) is False
+    # Two records sharing one NaN object are equal, as their field tuples are;
+    # so is Python 3.10-3.12's dataclass, while 3.13's compares field by field.
+    assert (a == _Pair(nan)) is ((nan, None) == (nan, None)) is True
+
+
+@pytest.mark.parametrize("cls", [cls for cls in SAMPLES if cls not in UNHASHABLE],
+                         ids=lambda cls: cls.__name__)
+def test_hash_is_the_reference_hash(cls):
+    a = SAMPLES[cls]()
+    init_args = {f.name: getattr(a, f.name) for f in dataclasses.fields(cls) if f.init}
+    assert hash(a) == hash(_reference(cls)(**init_args))
