@@ -465,10 +465,10 @@ def cmd_diff(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import engine
     kb = _require_kb(args)
     profiles = _profiles(kb, args)
-    ctx_a = _context(args, _profile(profiles, args.profile_a or args.profile),
-                     args.flag + args.flag_a)
-    ctx_b = _context(args, _profile(profiles, args.profile_b or args.profile),
-                     args.flag + args.flag_b)
+    # Only an absent --profile-a or --profile-b means --profile; an empty one names none.
+    a, b = (args.profile if name is None else name for name in (args.profile_a, args.profile_b))
+    ctx_a = _context(args, _profile(profiles, a), args.flag + args.flag_a)
+    ctx_b = _context(args, _profile(profiles, b), args.flag + args.flag_b)
     diffs = engine.diff(kb, ctx_a, ctx_b)
     if not args.all:
         diffs = tuple(d for d in diffs if d.delta != 0 or d.rules_changed)

@@ -32,7 +32,6 @@ the line with a positioned ``ParseError``.
 from __future__ import annotations
 
 import re
-from dataclasses import field
 
 from .model import (
     ConditionTerm,
@@ -45,6 +44,7 @@ from .model import (
     MocaError,
     _IDENT,
     _polarity,
+    _field,
     _record,
 )
 
@@ -100,7 +100,7 @@ class RuleDocument:
     """
 
     entries: tuple[DocumentEntry, ...] = ()
-    lines: tuple[int, ...] = field(default=(), compare=False)
+    lines: tuple[int, ...] = _field((), compare=False)
 
     @property
     def rules(self) -> tuple[ImpactRule, ...]:

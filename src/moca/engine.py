@@ -29,7 +29,6 @@ hold no reference cycles, so reference counting frees them.
 
 from __future__ import annotations
 
-from dataclasses import field, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -46,6 +45,7 @@ from .model import (
     _HIGH,
     _MEDIUM,
     _gc_paused,
+    _field,
     _record,
     # Not called here. bench/run.py counts the calls made through
     # moca.engine.level_of and moca.engine.normalize, so both stay importable.
@@ -152,7 +152,7 @@ class MatrixExport:
     metrics: tuple[str, ...]
     elements: tuple[str, ...]
     cells: Mapping[tuple[str, str], tuple[MatrixEntry, ...]]
-    _grid: tuple[frozenset[str], frozenset[str]] = field(init=False, repr=False, compare=False)
+    _grid: tuple[frozenset[str], frozenset[str]] = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
@@ -289,7 +289,8 @@ def evaluate(kb: KnowledgeBase, ctx: EvaluationContext) -> tuple[Assessment, ...
 def evaluate_element(kb: KnowledgeBase, ctx: EvaluationContext,
                      element_id: str) -> Assessment:
     """`evaluate` over element_id alone, whatever ctx selects; raises UnknownEntityError."""
-    return evaluate(kb, replace(ctx, elements=(element_id,)))[0]
+    one = EvaluationContext(ctx.profile, ctx.flags, ctx.thresholds, (element_id,))
+    return evaluate(kb, one)[0]
 
 
 @_gc_paused

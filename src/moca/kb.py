@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from operator import attrgetter
@@ -207,7 +206,7 @@ def _lookup(label: str):
     return lookup
 
 
-@dataclass(frozen=True)
+@_record
 class KnowledgeBase:
     """Immutable, fully resolved knowledge base.
 
@@ -217,6 +216,8 @@ class KnowledgeBase:
     Any error raises KnowledgeBaseError (a ValueError) whose report holds
     every finding; a valid KB keeps the warnings for load() to report.
     """
+
+    __slots__ = ("__dict__", "__weakref__")  # for the indexes and cached views
 
     metrics: tuple[CulturalMetric, ...] = ()
     elements: tuple[AgileElement, ...] = ()

@@ -13,11 +13,13 @@ to a single polarity, so the inverse effect at the opposite level is
 derived rather than written down twice.
 
 The value types here and in ``kb``, ``engine`` and ``dsl`` are immutable slotted
-dataclasses built by ``_record``: assigning or deleting an attribute raises
+records built by ``_record``: assigning or deleting an attribute raises
 ``dataclasses.FrozenInstanceError``, and instances carry no ``__dict__``. moca
 builds them by the tens of thousands (rules, findings, matrix entries), so their
 constructor stores fields through the slot descriptors; a copy or a pickle calls it
 again. They share one ``__eq__``, ``__hash__`` and ``__repr__``, not one per class.
+No command imports ``dataclasses`` (nor ``inspect``, which it imports): ``_record``
+builds each class itself, and makes its dataclasses view only when that is first read.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import functools
 import gc
 import re
 import reprlib
+import sys
 import threading
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -73,10 +75,12 @@ def _gc_paused(func):
 
 
 def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -107,48 +111,94 @@ def _repr(self):
     return f"{self.__class__.__qualname__}({shown})"
 
 
-def _record(cls=None, *, unchecked=False):
-    """dataclass(slots=True) for the fields, __match_args__ and the slots, made immutable
-    here: assigning or deleting any attribute raises FrozenInstanceError, and _reduce
-    copies and pickles it. The shared _eq, _hash and _repr read the field-name tuples
-    stored on the class, and act as dataclass(frozen=True)'s do (a field's hash= is not read).
+def _replace(self, /, **changes):  # copy.replace (Python 3.13) of a record
+    from dataclasses import replace
+    return replace(self, **changes)
 
-    The __init__ is generated here, with the parameters, defaults and
-    annotations the dataclass's own would have; it stores each field
-    through its slot descriptor, then calls __post_init__ if the class has
-    one. A default_factory or a defaulted init=False field would need code
-    here to fill it, so either is refused. unchecked=True adds cls._unchecked(*every
-    field) for fields already proven: it stores them all, calling no __post_init__."""
+
+_MISSING = object()
+
+
+class _field:
+    """A record field's spec, written in a record body where dataclasses.field would be."""
+
+    def __init__(self, default=_MISSING, *, init=True, repr=True, compare=True):
+        self.default, self.init, self.repr, self.compare = default, init, repr, compare
+
+
+class _Introspected:
+    """A record class's __dataclass_fields__ or __dataclass_params__, made when either is first
+    read: those of dataclass(slots=True, init=False, eq=False, repr=False) of the same fields."""
+
+    def __init__(self, name, specs):
+        self.name, self.specs = name, specs
+
+    def __get__(self, record, cls):
+        from dataclasses import MISSING, dataclass, field
+        shadow = {name: field(default=MISSING if spec.default is _MISSING else spec.default,
+                              init=spec.init, repr=spec.repr, compare=spec.compare)
+                  for name, spec in self.specs.items()}
+        shadow.update(__annotations__=cls.__annotations__, __module__=cls.__module__)
+        shadow = dataclass(slots=True, init=False, eq=False, repr=False)(
+            type(cls.__name__, (), shadow))
+        cls.__dataclass_fields__ = shadow.__dataclass_fields__
+        cls.__dataclass_params__ = shadow.__dataclass_params__
+        return getattr(cls, self.name)
+
+
+def _record(cls=None, *, unchecked=False):
+    """cls rebuilt with slots for the fields its annotations declare, in order (a _field
+    spec sets init, repr and compare) and any the body's __slots__ names. Assigning or
+    deleting any attribute raises FrozenInstanceError, and _reduce copies and pickles it.
+    The shared _eq, _hash and _repr act as dataclass(frozen=True)'s do. is_dataclass,
+    fields, replace and asdict read the _Introspected view, which imports dataclasses.
+
+    The generated __init__ has the parameters, defaults and annotations the dataclass's
+    own would have; it stores each field through its slot descriptor, then calls
+    __post_init__ if the class has one. A defaulted init=False field, or a dataclasses.field,
+    would need code here to fill it, so both are refused. unchecked=True adds
+    cls._unchecked(*every field): it stores fields already proven, calling no __post_init__."""
     if cls is None:
         return functools.partial(_record, unchecked=unchecked)
-    cls = dataclass(slots=True, init=False, eq=False, repr=False)(cls)
-    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-    cls.__reduce__, cls.__eq__, cls.__hash__, cls.__repr__ = _reduce, _eq, _hash, _repr
-    all_fields = fields(cls)
-    cls._compared_fields, cls._shown_fields = (
-        tuple(f.name for f in all_fields if getattr(f, flag)) for flag in ("compare", "repr"))
-    if any(f.default_factory is not MISSING or not (f.init or f.default is MISSING)
-           for f in all_fields):
-        raise TypeError(f"{cls.__name__}: _record takes no default_factory "
-                        "and no init=False field with a default")
-    params = [f for f in all_fields if f.init]
-    namespace = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in all_fields}
-    namespace.update({f"_default_{f.name}": f.default for f in params if f.default is not MISSING})
-    signature = "".join(f", {f.name}" if f.default is MISSING else f", {f.name}=_default_{f.name}"
-                        for f in params)
-    def stores(group):
-        return "".join(f"\n    _set_{f.name}(self, {f.name})" for f in group)
-    body = stores(params)
+    body, specs = cls.__dict__, {}
+    dataclass_field = getattr(sys.modules.get("dataclasses"), "Field", ())
+    for name in body.get("__annotations__", {}):
+        spec = body.get(name, _MISSING)
+        spec = spec if isinstance(spec, (_field, dataclass_field)) else _field(spec)
+        if not isinstance(spec, _field) or not (spec.init or spec.default is _MISSING):
+            raise TypeError(f"{cls.__name__}: _record takes no default_factory "
+                            "and no init=False field with a default")
+        specs[name] = spec
+    params = [name for name, spec in specs.items() if spec.init]
+    namespace = {key: value for key, value in body.items()
+                 if key not in specs and key not in ("__dict__", "__weakref__")}
+    namespace.update(
+        __slots__=(*specs, *body.get("__slots__", ())), __match_args__=tuple(params),
+        __qualname__=cls.__qualname__, __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
+        __reduce__=_reduce, __eq__=_eq, __hash__=_hash, __repr__=_repr, __replace__=_replace,
+        __dataclass_fields__=_Introspected("__dataclass_fields__", specs),
+        __dataclass_params__=_Introspected("__dataclass_params__", specs),
+        _compared_fields=tuple(name for name, spec in specs.items() if spec.compare),
+        _shown_fields=tuple(name for name, spec in specs.items() if spec.repr))
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in specs}
+    namespace.update({f"_default_{name}": specs[name].default for name in params
+                      if specs[name].default is not _MISSING})
+    signature = "".join(f", {name}" if specs[name].default is _MISSING
+                        else f", {name}=_default_{name}" for name in params)
+    def stores(names):
+        return "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    code = stores(params)
     if hasattr(cls, "__post_init__"):
-        body += "\n    self.__post_init__()"
-    exec(f"def __init__(self{signature}):{body}", namespace)
+        code += "\n    self.__post_init__()"
+    exec(f"def __init__(self{signature}):{code}", namespace)
     init = namespace["__init__"]
-    init.__annotations__ = {**{f.name: f.type for f in params}, "return": None}
+    init.__annotations__ = {**{name: cls.__annotations__[name] for name in params}, "return": None}
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     if unchecked:  # generated only where used: each exec costs start-up time
-        exec(f"def _unchecked(cls{''.join(f', {f.name}' for f in all_fields)}):\n"
-             f"    self = object.__new__(cls){stores(all_fields)}\n    return self", namespace)
+        exec(f"def _unchecked(cls{''.join(f', {name}' for name in specs)}):\n"
+             f"    self = object.__new__(cls){stores(specs)}\n    return self", namespace)
         cls._unchecked = classmethod(namespace["_unchecked"])
     return cls
 
@@ -382,7 +432,7 @@ class ImpactRule:
     element: str
     condition: str | None = None
     rationale: str = ""
-    polarity: int = field(init=False, repr=False, compare=False)
+    polarity: int = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for label, value in (("rule id", self.id), ("metric", self.metric),

@@ -483,6 +483,14 @@ class TestDiff:
         assert code == 0
         assert "daily_meeting: -1 -> +1 (delta +2) rules: H6" in out
 
+    @pytest.mark.parametrize("option", ["--profile-a", "--profile-b"])
+    def test_empty_scenario_profile_exits_2(self, run, option):
+        """An empty scenario profile names no profile, as an empty --profile
+        does; it does not fall back to --profile."""
+        code, out, err = run("diff", "--profile", "strong_hierarchy", option, "")
+        assert (code, out) == (2, "")
+        assert "unknown profile ''" in err
+
     def test_json(self, run):
         _, out, _ = run("diff", "--profile", "strong_hierarchy",
                         "--flag-b", "manager_attends_meeting", "--format", "json")
@@ -873,9 +881,12 @@ def _library_payload(kb, command, options):
 
     if command == "evaluate":
         return _plain(engine.evaluate(kb, context(last("--profile"), "--flag")))
-    diffs = engine.diff(kb,
-                        context(last("--profile-a") or last("--profile"), "--flag", "--flag-a"),
-                        context(last("--profile-b") or last("--profile"), "--flag", "--flag-b"))
+
+    def scenario(side):
+        name = last(f"--profile-{side}")
+        return context(last("--profile") if name is None else name, "--flag", f"--flag-{side}")
+
+    diffs = engine.diff(kb, scenario("a"), scenario("b"))
     if not every("--all"):
         diffs = tuple(d for d in diffs if d.delta != 0 or d.rules_changed)
     return _plain(diffs)
@@ -1216,6 +1227,8 @@ def test_validate_output_across_slices(run, tmp_path, uncovered):
 
 _ENGINE_AFTER = ("import moca.cli, sys; assert moca.cli.main({argv!r}) == 0; "
                  "assert ('moca.engine' in sys.modules) is {loaded}")
+_INTROSPECTION_AFTER = ("import moca.cli, sys; assert moca.cli.main({argv!r}) == 0; "
+                        "assert not {{'dataclasses', 'inspect'}} & set(sys.modules)")
 
 
 @pytest.mark.parametrize("script", [
@@ -1226,12 +1239,16 @@ _ENGINE_AFTER = ("import moca.cli, sys; assert moca.cli.main({argv!r}) == 0; "
     pytest.param(_ENGINE_AFTER.format(argv=["explain", "H6"], loaded=False), id="explain-engine"),
     pytest.param(_ENGINE_AFTER.format(argv=["evaluate", "--profile", "strong_hierarchy"],
                                       loaded=True), id="evaluate-loads-engine"),
+    *(pytest.param(_INTROSPECTION_AFTER.format(argv=argv), id=f"{argv[0]}-dataclasses")
+      for argv in (["validate"], ["explain", "H6"], ["evaluate", "--profile", "strong_hierarchy"],
+                   ["diff", "--profile", "strong_hierarchy"], ["matrix"])),
 ])
 def test_start_up_leaves_unused_modules_unloaded(script):
     """Only a regular --out file needs tempfile, and only the commands that
     evaluate need the engine, so nothing else imports them; a bare `import
-    moca` imports no submodule. -S keeps out site hooks, some of which import
-    tempfile themselves."""
+    moca` imports no submodule. Only code that introspects a record needs
+    dataclasses (and with it inspect), so no command imports either. -S keeps
+    out site hooks, some of which import tempfile themselves."""
     env = {**os.environ, "PYTHONPATH": str(Path(moca.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,

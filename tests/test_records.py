@@ -4,7 +4,12 @@ slotted dataclasses whose constructors behave like dataclass(frozen=True)'s."""
 import copy
 import dataclasses
 import inspect
+import os
 import pickle
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +134,21 @@ def test_record_contract(cls):
     assert repr(a) == repr(reference(**init_args))
 
 
+def test_knowledge_base_is_a_record_with_a_dict(seed_kb):
+    """KnowledgeBase keeps an instance __dict__ for its indexes and cached
+    views, and weak references, with the equality, hash and repr of the
+    dataclass(frozen=True) it was."""
+    assert seed_kb.rules_for("daily_meeting") and "_rules_by_element" in vars(seed_kb)
+    assert weakref.ref(seed_kb)() is seed_kb
+    init_args = {name: getattr(seed_kb, name) for name in kb.KnowledgeBase.__match_args__}
+    reference = _reference(kb.KnowledgeBase)
+    assert repr(seed_kb) == repr(reference(**init_args))
+    assert seed_kb == kb.KnowledgeBase(**init_args) and seed_kb != reference(**init_args)
+    assert hash(kb.KnowledgeBase()) == hash(reference())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seed_kb.rules = ()
+
+
 def test_rule_polarity_is_outside_repr_and_equality():
     rule, flipped = _rule(), _rule()
     object.__setattr__(flipped, "polarity", -flipped.polarity)
@@ -167,6 +187,14 @@ def test_record_refuses_a_field_its_init_cannot_fill(spec):
         @model._record
         class Refused:
             value: int = spec
+
+
+def test_record_refuses_a_defaulted_init_false_field_spec():
+    with pytest.raises(TypeError, match="^Refused: _record takes no default_factory "
+                                        "and no init=False field with a default$"):
+        @model._record
+        class Refused:
+            value: int = model._field(0, init=False)
 
 
 @model._record
@@ -216,3 +244,57 @@ def test_hash_is_the_reference_hash(cls):
     a = SAMPLES[cls]()
     init_args = {f.name: getattr(a, f.name) for f in dataclasses.fields(cls) if f.init}
     assert hash(a) == hash(_reference(cls)(**init_args))
+
+
+def _as_dict(value):
+    """What dataclasses.asdict makes of a record, read from its annotations."""
+    if isinstance(value, tuple):
+        return tuple(map(_as_dict, value))
+    if type(value) in SAMPLES or type(value) in CACHED:
+        return {name: _as_dict(getattr(value, name)) for name in type(value).__annotations__}
+    return value
+
+
+def _check_introspection():
+    """The dataclasses view of every sample record and of a KnowledgeBase: the
+    fields a _reference dataclass reads back, which are the fields the record's
+    __init__, repr and equality act on; replace and asdict; and the params of
+    dataclass(slots=True, init=False, eq=False, repr=False)."""
+    params = repr(dataclasses.dataclass(slots=True, init=False, eq=False, repr=False)(
+        type("Plain", (), {})).__dataclass_params__)
+    attrs = ("name", "type", "default", "init", "repr", "compare", "hash")
+    for cls, make in [*SAMPLES.items(), (kb.KnowledgeBase, kb.KnowledgeBase)]:
+        a = make()
+        assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(a), cls
+        assert repr(cls.__dataclass_params__) == params, cls
+        fields = dataclasses.fields(a)
+        assert [[getattr(f, attr) for attr in attrs] for f in fields] == [
+            [getattr(f, attr) for attr in attrs] for f in dataclasses.fields(_reference(cls))]
+        assert [f.name for f in fields] == list(cls.__annotations__)
+        defaults = {name: dataclasses.MISSING if p.default is p.empty else p.default
+                    for name, p in inspect.signature(cls).parameters.items()}
+        assert {f.name: f.default for f in fields if f.init} == defaults, cls
+        assert tuple(f.name for f in fields if f.repr) == cls._shown_fields
+        assert tuple(f.name for f in fields if f.compare) == cls._compared_fields
+        init_args = {f.name: getattr(a, f.name) for f in fields if f.init}
+        assert dataclasses.replace(a) == a == dataclasses.replace(a, **init_args)
+        if hasattr(copy, "replace"):  # Python 3.13
+            assert copy.replace(a, **init_args) == a
+        if cls not in UNHASHABLE:  # asdict deep-copies fields, and no mapping proxy copies
+            assert dataclasses.asdict(a) == _as_dict(a), cls
+
+
+def test_introspection_is_made_on_first_use():
+    """In a fresh interpreter that builds every record before it imports
+    dataclasses, the dataclasses view is whole: it is made when first read.
+    -S keeps out site hooks, which might import dataclasses first."""
+    path = [Path(model.__file__).parents[1], Path(__file__).parent,
+            Path(pytest.__file__).parents[1]]
+    script = ("import sys; from moca import dsl, engine, kb, model; "
+              "assert 'dataclasses' not in sys.modules; "
+              "import test_records; test_records._check_introspection()")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+    child = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                           timeout=60)
+    assert child.returncode == 0, child.stderr
