@@ -11,8 +11,6 @@ importing the package, or a command that needs no engine, loads no more
 than it uses.
 """
 
-import importlib
-
 #: Each public name, by the submodule that defines it.
 _EXPORTS = {
     "model": (
@@ -39,8 +37,8 @@ __all__ = [*sorted(_MODULE_OF), "__version__"]
 
 def __getattr__(name: str):
     """A public name or a submodule, imported the first time it is asked for."""
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:  # -X importtime logs __import__, not importlib.import_module
+        return __import__(f"{__name__}.{name}", fromlist=["*"])
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(__getattr__(_MODULE_OF[name]), name)

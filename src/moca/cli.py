@@ -9,6 +9,7 @@ any input file.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import stat
@@ -16,7 +17,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import kb as kb_mod
 from .dsl import _emit_term
@@ -609,5 +610,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERRUPTED
 
 
+def _script() -> NoReturn:
+    """The `moca` script and `python -m moca.cli`: main(), the atexit handlers,
+    a flush, then os._exit, which skips the interpreter's teardown (as mypy's
+    runs end). A stdout that fails the flush is exit 2, as in _emit; Ctrl-C 130."""
+    try:
+        code = main()
+        atexit._run_exitfuncs()
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                if stream is not None:
+                    stream.flush()
+            except OSError as exc:
+                if stream is sys.stdout:
+                    _print_error(CliError(f"cannot write standard output: {exc.strerror or exc}"))
+                    code = EXIT_USAGE
+    except KeyboardInterrupt:
+        code = EXIT_INTERRUPTED
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    _script()

@@ -1,3 +1,4 @@
+import atexit
 import contextlib
 import csv
 import dataclasses
@@ -582,16 +583,26 @@ class TestKbResolution:
         assert "validate" in out
 
 
-def _run_child(*argv, stdout, preexec_fn=None):
-    """`moca ARGV` in a child interpreter; returns its exit code and stderr."""
-    env = {**os.environ, "PYTHONPATH": str(Path(moca.__file__).parents[1])}
+def _run_child(*argv, stdout, buffered, preexec_fn=None, site_dir=None):
+    """`moca ARGV` in a child interpreter; returns its exit code and stderr.
+
+    Its stdout is block-buffered, as a pipe or file is when PYTHONUNBUFFERED
+    is unset, or unbuffered; site_dir, if given, is put first on its path."""
+    src = str(Path(moca.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": f"{site_dir}{os.pathsep}{src}" if site_dir else src}
     env.pop("MOCA_KB_PATH", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     child = subprocess.run([sys.executable, "-m", "moca.cli", *argv], stdout=stdout,
                            stderr=subprocess.PIPE, env=env, preexec_fn=preexec_fn,
                            timeout=120)
     return child.returncode, child.stderr.decode()
 
 
+#: Each child test runs its command both ways: a test host may set
+#: PYTHONUNBUFFERED or not, and the output must not depend on it.
+BUFFERING = (True, False)
 CANNOT_WRITE = "error: cannot write standard output"
 
 
@@ -603,7 +614,20 @@ class TestOutputFailure:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            code, err = _run_child(*EVAL_ARGS, stdout=write_end)
+            ends = [_run_child(*EVAL_ARGS, stdout=write_end, buffered=b) for b in BUFFERING]
+        finally:
+            os.close(write_end)
+        assert ends == [(2, f"{CANNOT_WRITE}: {os.strerror(errno.EPIPE)}\n")] * 2
+
+    @pytest.mark.parametrize("argv", [("--help",), ("explain", "--help")])
+    def test_help_left_in_the_buffer_for_a_closed_pipe(self, argv):
+        """argparse writes help without a flush; the flush before the process
+        ends reports the broken pipe as every other stdout failure is. (Where
+        stdout is unbuffered, argparse itself drops the failed write.)"""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = _run_child(*argv, stdout=write_end, buffered=True)
         finally:
             os.close(write_end)
         assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.EPIPE)}\n")
@@ -611,12 +635,13 @@ class TestOutputFailure:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device(self):
         with open("/dev/full", "wb") as full:
-            code, err = _run_child("validate", stdout=full)
-        assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.ENOSPC)}\n")
+            ends = [_run_child("validate", stdout=full, buffered=b) for b in BUFFERING]
+        assert ends == [(2, f"{CANNOT_WRITE}: {os.strerror(errno.ENOSPC)}\n")] * 2
 
     def test_closed_stdout(self):
-        code, err = _run_child("validate", stdout=None, preexec_fn=lambda: os.close(1))
-        assert (code, err) == (2, f"{CANNOT_WRITE}: it is closed\n")
+        ends = [_run_child("validate", stdout=None, buffered=b, preexec_fn=lambda: os.close(1))
+                for b in BUFFERING]
+        assert ends == [(2, f"{CANNOT_WRITE}: it is closed\n")] * 2
 
     def test_stdout_encoding_that_cannot_hold_a_kb_character(self, monkeypatch, tmp_path):
         kb_dir = tmp_path / "kb"
@@ -626,10 +651,13 @@ class TestOutputFailure:
             'BECAUSE "steep hierarchies', 'BECAUSE "caf\u00e9: steep hierarchies'),
             encoding="utf-8")
         monkeypatch.setenv("PYTHONIOENCODING", "ascii")
-        code, err = _run_child("explain", "H6", "--kb", str(kb_dir), stdout=subprocess.PIPE)
-        assert code == 2
-        assert err.startswith(f"{CANNOT_WRITE}: 'ascii' codec can't encode character '\\xe9'")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        for buffered in BUFFERING:
+            code, err = _run_child("explain", "H6", "--kb", str(kb_dir),
+                                   stdout=subprocess.PIPE, buffered=buffered)
+            assert code == 2
+            assert err.startswith(
+                f"{CANNOT_WRITE}: 'ascii' codec can't encode character '\\xe9'")
+            assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_write_error_in_process(self, run, monkeypatch, tmp_path):
         """The failed stream's descriptor is pointed at os.devnull, so the
@@ -723,6 +751,70 @@ class TestOutputFailure:
         assert list(tmp_path.iterdir()) == ([] if existing is None else [target])
         if existing is not None:
             assert target.read_bytes() == existing
+
+
+class TestProcessExit:
+    """`python -m moca.cli` and the `moca` script end the process with os._exit
+    once the atexit handlers have run and the output is flushed; what a child
+    leaves is what main() gives in-process."""
+
+    def test_atexit_handler_registered_before_the_cli_runs(self, run, tmp_path):
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit\natexit.register(print, 'atexit handler ran')\n", encoding="utf-8")
+        expected = (0, run("explain", "H6")[1] + "atexit handler ran\n", "")
+        out = tmp_path / "stdout.txt"
+        for buffered in BUFFERING:
+            with out.open("wb") as handle:
+                code, err = _run_child("explain", "H6", stdout=handle, buffered=buffered,
+                                       site_dir=str(tmp_path))
+            assert (code, out.read_text(encoding="utf-8"), err) == expected
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("explain", "H6"), 0),
+        (("validate", "--kb", "{kb}"), 1),
+        (("explain", "NO_SUCH_RULE"), 2),
+        (("evaluate", "--no-such-option"), 2),
+    ])
+    def test_exit_code_and_output_are_main_s(self, run, tmp_path, argv, expected):
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        write_kb(kb_dir, rules="RULE R1: HIGH PDI IMPACTS ghost POSITIVE\n")
+        argv = [arg.format(kb=kb_dir) for arg in argv]
+        in_process = run(*argv)
+        assert in_process[0] == expected
+        out = tmp_path / "stdout.txt"
+        for buffered in BUFFERING:
+            with out.open("wb") as handle:
+                code, err = _run_child(*argv, stdout=handle, buffered=buffered)
+            assert (code, out.read_text(encoding="utf-8"), err) == in_process
+
+    def test_out_file_is_main_s(self, run, tmp_path):
+        argv = (*EVAL_ARGS, "--format", "json", "--out")
+        reference = tmp_path / "in-process.json"
+        assert run(*argv, str(reference)) == (0, "", "")
+        child = tmp_path / "child.json"
+        for buffered in BUFFERING:
+            child.write_text("old\n", encoding="utf-8")
+            child.chmod(0o640)
+            assert _run_child(*argv, str(child), stdout=subprocess.DEVNULL,
+                              buffered=buffered) == (0, "")
+            assert child.read_bytes() == reference.read_bytes()
+            assert stat.S_IMODE(child.stat().st_mode) == 0o640
+            assert sorted(path.name for path in tmp_path.iterdir()) == [child.name,
+                                                                        reference.name]
+
+    def test_interrupt_after_main_is_exit_130(self, monkeypatch, capsys):
+        """A Ctrl-C while the atexit handlers run or the output is flushed."""
+        def interrupt():
+            raise KeyboardInterrupt
+
+        ended = []
+        monkeypatch.setattr(atexit, "_run_exitfuncs", interrupt)
+        monkeypatch.setattr(os, "_exit", ended.append)
+        monkeypatch.setattr(sys, "argv", ["moca", "explain", "H6"])
+        moca.cli._script()
+        assert ended == [130]
+        assert capsys.readouterr().err == ""
 
 
 class TestNonUtf8FileName:
@@ -1254,3 +1346,16 @@ def test_start_up_leaves_unused_modules_unloaded(script):
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                            timeout=60)
     assert child.returncode == 0, child.stderr
+
+
+def test_import_time_lists_each_moca_module_a_command_loads():
+    """The package imports a submodule through the import statement's own
+    path, which -X importtime logs, so no module's time is counted as its
+    importer's."""
+    env = {**os.environ, "PYTHONPATH": str(Path(moca.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-X", "importtime", "-m", "moca.cli", *EVAL_ARGS],
+                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                           text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()}
+    assert {"moca", "moca.model", "moca.dsl", "moca.kb", "moca.engine"} <= listed
