@@ -17,7 +17,6 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
 
 from . import kb as kb_mod
 from .dsl import _emit_term
@@ -36,7 +35,10 @@ from .model import (
     _gc_paused,
 )
 
-if TYPE_CHECKING:  # the commands that evaluate import it; validate and explain never do
+TYPE_CHECKING = False  # typing itself is not imported: no command needs it
+if TYPE_CHECKING:  # the commands that evaluate import engine; validate and explain never do
+    from typing import NoReturn
+
     from . import engine
 
 EXIT_OK = 0
@@ -71,6 +73,16 @@ def resolve_kb_paths(kb_args: Sequence[str | Path | None] | None) -> tuple[Path,
     return tuple(paths)
 
 
+def _stdout_failed(exc: OSError) -> CliError:
+    """The error for a failed write to stdout. The process flushes stdout again
+    before it ends; pointing it at os.devnull drops the unwritten rest there, as
+    the Python docs' "Note on SIGPIPE" (signal module) does for a closed pipe."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return CliError(f"cannot write standard output: {exc.strerror or exc}")
+
+
 def _emit(args: argparse.Namespace, chunks: Iterable[str]):
     """Write the chunks as they are made, to stdout (kept up to a failure) or
     --out; a regular --out file is replaced whole, mode kept, or left as it was."""
@@ -82,13 +94,7 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]):
                 sys.stdout.write(chunk)
             sys.stdout.flush()
         except OSError as exc:
-            # The interpreter flushes stdout again at exit; pointing it at
-            # os.devnull drops the unwritten rest there, as the Python docs'
-            # "Note on SIGPIPE" (signal module) does for a closed pipe.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise CliError(f"cannot write standard output: {exc.strerror or exc}") from None
+            raise _stdout_failed(exc) from None
         except UnicodeEncodeError as exc:  # what was written stays, as for a broken pipe
             raise CliError(f"cannot write standard output: {exc}") from None
         return
@@ -536,8 +542,21 @@ def _add_scenario_options(p: argparse.ArgumentParser):
                    help="restrict evaluation to this element, repeatable")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed write to stdout raises, for main to report. A
+    failed write elsewhere is dropped, as argparse drops every one (from 3.11 on)."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        try:
+            file.write(message)
+        except (AttributeError, OSError):
+            if file is sys.stdout:
+                raise
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moca",
         description="Evaluate the impact of a cultural profile on agile "
                     "practices and roles, using an authorable causal rule base.")
@@ -595,6 +614,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:  # from _Parser: help that stdout did not take
+        _print_error(_stdout_failed(exc))
+        return EXIT_USAGE
     try:
         args.kb = resolve_kb_paths(args.kb)
         code, chunks = args.run(args)  # the code is known before the first write

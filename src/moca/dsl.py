@@ -248,11 +248,6 @@ def _rule_of(match: re.Match) -> ImpactRule | None:
                                  condition, rationale or "", _polarity(stated, sign))
 
 
-def _match_rule_line(raw: str) -> ImpactRule | None:
-    """The rule on a well-formed RULE line, as _scan reads it; None for any other."""
-    return _rule_of(match) if (match := _LINE_RE.fullmatch(raw)) and match[9] is None else None
-
-
 def _parse_line(raw: str, line_no: int) -> DocumentEntry:
     p = _LineParser(_tokenize(raw, line_no), line_no)
     if p.accept("keyword", "RULE"):

@@ -29,9 +29,9 @@ hold no reference cycles, so reference counting frees them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 from .kb import KnowledgeBase
 from .model import (
@@ -256,16 +256,10 @@ def _assess(scenario: _Scenario, element_id: str) -> Assessment:
             gated.append(rule.id)
         else:
             score += outcome.value
-            contributions.append(Contribution(
+            contributions.append(Contribution._unchecked(
                 rule.id, outcome.value, outcome.fired_level, outcome.condition_status))
-    return Assessment(
-        element=element_id,
-        contributions=tuple(contributions),
-        score=score,
-        label=label_for(score),
-        indeterminate_rules=tuple(indeterminate),
-        gated_rules=tuple(gated),
-    )
+    return Assessment._unchecked(element_id, tuple(contributions), score, label_for(score),
+                                 tuple(indeterminate), tuple(gated))
 
 
 def _selected_elements(kb: KnowledgeBase,
@@ -332,7 +326,7 @@ def export_matrix(kb: KnowledgeBase) -> MatrixExport:
         column: dict[str, list[MatrixEntry]] = {}
         for rule in kb.rules_for(element_id):
             column.setdefault(rule.metric, []).append(
-                MatrixEntry(rule.id, rule.stated_level, rule.sign, rule.condition))
+                MatrixEntry._unchecked(rule.id, rule.stated_level, rule.sign, rule.condition))
         for metric_id, entries in column.items():
             cells[metric_id, element_id] = tuple(entries)
     return MatrixExport(metrics=metric_ids, elements=element_ids, cells=cells)

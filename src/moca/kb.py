@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable, Iterable
 from enum import Enum
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable
 
 from . import dsl
 from .model import (
@@ -292,7 +292,8 @@ def validate_completeness(kb: KnowledgeBase) -> ValidationReport:
         covered[rule.metric].add(rule.element)
     element_ids = [e.id for e in kb.rule_eligible_elements]
     return ValidationReport(tuple([
-        Finding(warning, "uncovered-cell", f"no rule covers ({m}, {e})", f"{m}:{e}")
+        Finding._unchecked(warning, "uncovered-cell", f"no rule covers ({m}, {e})", f"{m}:{e}",
+                           None, None)
         for m, have in covered.items() for e in element_ids if e not in have]))
 
 

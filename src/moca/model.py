@@ -14,10 +14,12 @@ derived rather than written down twice.
 
 The value types here and in ``kb``, ``engine`` and ``dsl`` are immutable slotted
 records built by ``_record``: assigning or deleting an attribute raises
-``dataclasses.FrozenInstanceError``, and instances carry no ``__dict__``. moca
-builds them by the tens of thousands (rules, findings, matrix entries), so their
-constructor stores fields through the slot descriptors; a copy or a pickle calls it
-again. They share one ``__eq__``, ``__hash__`` and ``__repr__``, not one per class.
+``dataclasses.FrozenInstanceError``, and instances carry no ``__dict__``. Their
+constructor checks its fields, and a copy or a pickle calls it again. moca builds
+them by the tens of thousands (rules, findings, matrix entries), so code whose fields
+are proven calls a record's ``_unchecked`` factory instead, made on first use: it fills
+a layout twin (the record's slots, no ``__setattr__``) with plain stores, then gives it
+the record's class. They share one ``__eq__``, ``__hash__`` and ``__repr__``.
 No command imports ``dataclasses`` (nor ``inspect``, which it imports): ``_record``
 builds each class itself, and makes its dataclasses view only when that is first read.
 """
@@ -30,9 +32,9 @@ import re
 import reprlib
 import sys
 import threading
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 METRIC_ID_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
@@ -146,7 +148,25 @@ class _Introspected:
         return getattr(cls, self.name)
 
 
-def _record(cls=None, *, unchecked=False):
+class _Unchecked:
+    """A record class's _unchecked(*every field), made on first read: it fills a layout
+    twin, a plain class with the record's __slots__ and no __setattr__, with plain stores
+    (which CPython 3.11+ specializes), then gives it the record class. It runs no check
+    and no __post_init__, so it is for fields already proven."""
+
+    def __get__(self, record, cls):
+        slots = cls.__slots__
+        namespace = {"_cls": cls, "_twin": type(cls.__name__, (), {"__slots__": slots})}
+        exec(f"def _unchecked({', '.join(slots)}):\n    self = _twin()"
+             + "".join(f"\n    self.{name} = {name}" for name in slots)
+             + "\n    self.__class__ = _cls\n    return self", namespace)
+        factory = namespace["_unchecked"]
+        factory.__module__, factory.__qualname__ = cls.__module__, f"{cls.__qualname__}._unchecked"
+        cls._unchecked = staticmethod(factory)
+        return factory
+
+
+def _record(cls):
     """cls rebuilt with slots for the fields its annotations declare, in order (a _field
     spec sets init, repr and compare) and any the body's __slots__ names. Assigning or
     deleting any attribute raises FrozenInstanceError, and _reduce copies and pickles it.
@@ -156,10 +176,8 @@ def _record(cls=None, *, unchecked=False):
     The generated __init__ has the parameters, defaults and annotations the dataclass's
     own would have; it stores each field through its slot descriptor, then calls
     __post_init__ if the class has one. A defaulted init=False field, or a dataclasses.field,
-    would need code here to fill it, so both are refused. unchecked=True adds
-    cls._unchecked(*every field): it stores fields already proven, calling no __post_init__."""
-    if cls is None:
-        return functools.partial(_record, unchecked=unchecked)
+    would need code here to fill it, so both are refused. A class whose body names no
+    __slots__ gets the _Unchecked factory; KnowledgeBase, whose body names __dict__, has none."""
     body, specs = cls.__dict__, {}
     dataclass_field = getattr(sys.modules.get("dataclasses"), "Field", ())
     for name in body.get("__annotations__", {}):
@@ -172,6 +190,8 @@ def _record(cls=None, *, unchecked=False):
     params = [name for name, spec in specs.items() if spec.init]
     namespace = {key: value for key, value in body.items()
                  if key not in specs and key not in ("__dict__", "__weakref__")}
+    if "__slots__" not in body:
+        namespace["_unchecked"] = _Unchecked()
     namespace.update(
         __slots__=(*specs, *body.get("__slots__", ())), __match_args__=tuple(params),
         __qualname__=cls.__qualname__, __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
@@ -186,9 +206,7 @@ def _record(cls=None, *, unchecked=False):
                       if specs[name].default is not _MISSING})
     signature = "".join(f", {name}" if specs[name].default is _MISSING
                         else f", {name}=_default_{name}" for name in params)
-    def stores(names):
-        return "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    code = stores(params)
+    code = "".join(f"\n    _set_{name}(self, {name})" for name in params)
     if hasattr(cls, "__post_init__"):
         code += "\n    self.__post_init__()"
     exec(f"def __init__(self{signature}):{code}", namespace)
@@ -196,10 +214,6 @@ def _record(cls=None, *, unchecked=False):
     init.__annotations__ = {**{name: cls.__annotations__[name] for name in params}, "return": None}
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     cls.__init__ = init
-    if unchecked:  # generated only where used: each exec costs start-up time
-        exec(f"def _unchecked(cls{''.join(f', {name}' for name in specs)}):\n"
-             f"    self = object.__new__(cls){stores(specs)}\n    return self", namespace)
-        cls._unchecked = classmethod(namespace["_unchecked"])
     return cls
 
 
@@ -412,7 +426,7 @@ class ImpactCondition:
         object.__setattr__(self, "terms", terms)
 
 
-@_record(unchecked=True)
+@_record
 class ImpactRule:
     """One causal relation from a metric level to an agile element.
 

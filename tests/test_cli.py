@@ -622,8 +622,7 @@ class TestOutputFailure:
     @pytest.mark.parametrize("argv", [("--help",), ("explain", "--help")])
     def test_help_left_in_the_buffer_for_a_closed_pipe(self, argv):
         """argparse writes help without a flush; the flush before the process
-        ends reports the broken pipe as every other stdout failure is. (Where
-        stdout is unbuffered, argparse itself drops the failed write.)"""
+        ends reports the broken pipe as every other stdout failure is."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -631,6 +630,27 @@ class TestOutputFailure:
         finally:
             os.close(write_end)
         assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("explain", "--help")])
+    def test_unbuffered_help_into_a_closed_pipe(self, argv):
+        """argparse drops a failed write of its own; the parser's write of help
+        to stdout raises instead, and ends as every other stdout failure does."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = _run_child(*argv, stdout=write_end, buffered=False)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.EPIPE)}\n")
+
+    def test_failed_usage_write_to_stderr_is_dropped(self, monkeypatch):
+        """Also on Python 3.10, whose argparse lets that write's OSError raise."""
+        class BrokenStderr(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stderr", BrokenStderr())
+        assert main(["no-such-command"]) == 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device(self):
@@ -1320,7 +1340,7 @@ def test_validate_output_across_slices(run, tmp_path, uncovered):
 _ENGINE_AFTER = ("import moca.cli, sys; assert moca.cli.main({argv!r}) == 0; "
                  "assert ('moca.engine' in sys.modules) is {loaded}")
 _INTROSPECTION_AFTER = ("import moca.cli, sys; assert moca.cli.main({argv!r}) == 0; "
-                        "assert not {{'dataclasses', 'inspect'}} & set(sys.modules)")
+                        "assert not {{'dataclasses', 'inspect', 'typing'}} & set(sys.modules)")
 
 
 @pytest.mark.parametrize("script", [
@@ -1339,8 +1359,8 @@ def test_start_up_leaves_unused_modules_unloaded(script):
     """Only a regular --out file needs tempfile, and only the commands that
     evaluate need the engine, so nothing else imports them; a bare `import
     moca` imports no submodule. Only code that introspects a record needs
-    dataclasses (and with it inspect), so no command imports either. -S keeps
-    out site hooks, some of which import tempfile themselves."""
+    dataclasses (and with it inspect), so no command imports either, nor
+    typing. -S keeps out site hooks, some of which import these themselves."""
     env = {**os.environ, "PYTHONPATH": str(Path(moca.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,

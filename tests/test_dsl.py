@@ -295,6 +295,12 @@ def test_accepted_source_round_trips(source):
     assert parse(serialize(doc)) == doc
 
 
+def _match_rule_line(raw):
+    """The rule on a well-formed RULE line, as dsl._scan reads it; None for any other."""
+    match = dsl._LINE_RE.fullmatch(raw)
+    return dsl._rule_of(match) if match and match[9] is None else None
+
+
 class TestRuleLineRegex:
     """The anchored RULE-line regex only accepts, and accepts only what the
     parser reads the same way."""
@@ -303,7 +309,7 @@ class TestRuleLineRegex:
     @settings(max_examples=500)
     def test_agrees_with_the_parser(self, drawn):
         line, edits = drawn
-        fast = dsl._match_rule_line(line)
+        fast = _match_rule_line(line)
         if fast is None:
             assert edits, f"an unedited rule line fell through: {line!r}"
             return
@@ -324,7 +330,7 @@ class TestRuleLineRegex:
         ("RULE R1: HIGH M IMPACTS é POSITIVE", False),
     ])
     def test_explicit_lines(self, line, accepted):
-        fast = dsl._match_rule_line(line)
+        fast = _match_rule_line(line)
         parsed = _parsed(line)
         if accepted:
             assert fast is not None
@@ -433,7 +439,7 @@ class TestOnePass:
     @given(syntax_rule_st)
     @settings(max_examples=200)
     def test_regex_rule_is_the_public_rule(self, rule):
-        fast = dsl._match_rule_line(serialize(RuleDocument(entries=(rule,))).rstrip("\n"))
+        fast = _match_rule_line(serialize(RuleDocument(entries=(rule,))).rstrip("\n"))
         public = ImpactRule(fast.id, fast.title, fast.metric, fast.stated_level, fast.sign,
                             fast.element, fast.condition, fast.rationale)
         assert public == rule

@@ -632,7 +632,8 @@ FINDING_CODE_FILE_SETS = {
 
 def emitted_finding_codes():
     """Every string literal kb.py passes as a finding code, read with ast:
-    the first argument of an error() or err() call, the second of Finding().
+    the first argument of an error() or err() call, the second of Finding()
+    or Finding._unchecked(), whose arguments are Finding()'s in order.
     Also returns, as source text, each argument there that is not a literal."""
     with open(kb_mod.__file__, encoding="utf-8") as source:
         tree = ast.parse(source.read())
@@ -640,7 +641,10 @@ def emitted_finding_codes():
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "_unchecked":
+            func = func.value
+        callee = getattr(func, "id", None) or getattr(func, "attr", None)
         position = {"error": 0, "err": 0, "Finding": 1}.get(callee)
         if position is None or len(node.args) <= position:
             continue

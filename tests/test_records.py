@@ -4,6 +4,7 @@ slotted dataclasses whose constructors behave like dataclass(frozen=True)'s."""
 import copy
 import dataclasses
 import inspect
+import json
 import os
 import pickle
 import subprocess
@@ -298,3 +299,81 @@ def test_introspection_is_made_on_first_use():
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                            timeout=60)
     assert child.returncode == 0, child.stderr
+
+
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_factory_record_is_the_constructor_record(cls):
+    """cls._unchecked(*every field) makes the record the public constructor makes
+    from the same fields, and its copies are the constructor record's copies."""
+    public = SAMPLES[cls]()
+    made = cls._unchecked(*(getattr(public, name) for name in cls.__slots__))
+    pairs = [(made, public), *((copier(made), copier(public)) for copier in COPIERS.values())]
+    for record, expected in pairs:
+        assert type(record) is cls and not hasattr(record, "__dict__")
+        assert record == expected and repr(record) == repr(expected)
+        if cls not in UNHASHABLE:
+            assert hash(record) == hash(expected)
+        for name in cls.__slots__:
+            assert getattr(record, name) == getattr(expected, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(expected, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+
+
+def test_records_from_the_factory_paths_are_constructor_records(seed_kb):
+    """The rules, findings, matrix entries, contributions and assessments that
+    parse, validate_completeness, export_matrix and evaluate build through the
+    factories equal the records their public constructors build."""
+    ctx = EvaluationContext(seed_kb.profile("strong_hierarchy"), {"manager_attends_meeting"})
+    assessments = engine.evaluate(seed_kb, ctx)
+    made = [*seed_kb.rules, *kb.validate_completeness(seed_kb).findings, *assessments,
+            *(c for a in assessments for c in a.contributions),
+            *(e for entries in engine.export_matrix(seed_kb).cells.values() for e in entries)]
+    assert {type(record) for record in made} == {
+        ImpactRule, Finding, Assessment, Contribution, MatrixEntry}
+    for record in made:
+        cls = type(record)
+        public = cls(*(getattr(record, name) for name in cls.__match_args__))
+        assert record == public and repr(record) == repr(public) and hash(record) == hash(public)
+        assert all(getattr(record, name) == getattr(public, name) for name in cls.__slots__)
+
+
+_FACTORIES_AFTER = """\
+import json, sys
+import moca.cli
+from moca import dsl, engine, kb, model
+argv = json.loads(sys.argv[1])
+if argv:
+    assert moca.cli.main(argv) == 0
+records = {obj for module in (model, kb, engine, dsl) for obj in vars(module).values()
+           if isinstance(obj, type) and "_unchecked" in vars(obj)}
+built = [cls.__name__ for cls in records
+         if not isinstance(vars(cls)["_unchecked"], model._Unchecked)]
+print(json.dumps([sorted(built), sorted(cls.__name__ for cls in records)]))
+"""
+
+
+@pytest.mark.parametrize("argv,built", [
+    ([], []),
+    (["explain", "H6"], ["ImpactRule"]),
+    (["validate"], ["Finding", "ImpactRule"]),
+    (["matrix"], ["ImpactRule", "MatrixEntry"]),
+    (["evaluate", "--profile", "strong_hierarchy"], ["Assessment", "Contribution", "ImpactRule"]),
+], ids=["import", "explain", "validate", "matrix", "evaluate"])
+def test_factories_are_made_on_first_use(argv, built):
+    """Importing moca.cli builds no factory, and a command builds only those of
+    the records it makes through one. Every record but KnowledgeBase has one."""
+    path = Path(model.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(path)}
+    env.pop("MOCA_KB_PATH", None)
+    child = subprocess.run([sys.executable, "-S", "-c", _FACTORIES_AFTER, json.dumps(argv)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    made, records = json.loads(child.stdout.splitlines()[-1])
+    assert made == built
+    assert records == sorted(cls.__name__ for cls in SAMPLES)
