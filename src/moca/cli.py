@@ -124,21 +124,11 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]):
         raise CliError(f"cannot write '{args.out}': {exc}") from None
 
 
-#: json encoder pieces, records or lines per chunk; matrix rows go one a chunk.
+#: Records or lines per chunk; matrix rows go one a chunk.
 _SLICE = 2000
-_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
 _quote = json.encoder.encode_basestring  # the string escaper of json.dumps(ensure_ascii=False)
 # Layouts read an enum's _value_ or _name_, a plain attribute, where .value and .name
 # are Python-level descriptors. Every value is a lowercase word, written unescaped.
-
-
-def _json_chunks(payload) -> Iterator[str]:
-    """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` in pieces:
-    the encoder's own pieces, _SLICE of them a chunk."""
-    pieces = _JSON.iterencode(payload)
-    while chunk := "".join(islice(pieces, _SLICE)):
-        yield chunk
-    yield "\n"
 
 
 def _json_list(records: Sequence, lay_out: Callable[[Sequence], list[str]],
@@ -270,10 +260,11 @@ def _kb_summary(kb: KnowledgeBase) -> dict:
 def _validate_json(summary: dict | None, findings: Sequence[Finding],
                    errors: Sequence[Finding]) -> Iterator[str]:
     """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` of validate's
-    payload: "valid" and "summary" go through _json_chunks, the findings
-    through _json_list."""
-    head = "".join(_json_chunks({"valid": not errors, "summary": summary, "findings": []}))
-    return _json_list(findings, _finding_layouts, head[:-len("[]\n}\n")], "  ", "\n}\n")
+    payload: "valid" and "summary" in one json.dumps, the findings through
+    _json_list."""
+    head = json.dumps({"valid": not errors, "summary": summary, "findings": []},
+                      indent=2, ensure_ascii=False)
+    return _json_list(findings, _finding_layouts, head[:-len("[]\n}")], "  ", "\n}\n")
 
 
 def _finding_layouts(findings: Sequence[Finding]) -> list[str]:
@@ -328,23 +319,8 @@ def _contribution_layout(c: engine.Contribution) -> str:
 
 
 def _assessment_json(a: engine.Assessment) -> dict:
-    """The payload of one assessment, as _assessment_layouts writes it."""
-    return {
-        "element": a.element,
-        "contributions": [
-            {
-                "rule_id": c.rule_id,
-                "value": c.value,
-                "fired_level": c.fired_level.value,
-                "condition_status": c.condition_status.value,
-            }
-            for c in a.contributions
-        ],
-        "score": a.score,
-        "label": a.label.value,
-        "indeterminate_rules": list(a.indeterminate_rules),
-        "gated_rules": list(a.gated_rules),
-    }
+    """The payload of one assessment, read back from _assessment_layouts."""
+    return json.loads(_assessment_layouts((a,))[0])
 
 
 def _assessments_text(kb: KnowledgeBase,
@@ -394,15 +370,15 @@ def _matrix_csv(matrix: engine.MatrixExport) -> Iterator[str]:
 
 def _matrix_json(matrix: engine.MatrixExport) -> Iterator[str]:
     """`json.dumps(payload, indent=2, ensure_ascii=False) + "\n"` of the matrix
-    payload, one metric row a chunk. "metrics" and "elements" go through
-    _json_chunks; an uncovered cell is [] and every entry is laid out by one
+    payload, one metric row a chunk. "metrics" and "elements" go in one
+    json.dumps; an uncovered cell is [] and every entry is laid out by one
     fixed template, its strings escaped by the escaper json.dumps uses."""
-    head = "".join(_json_chunks({"metrics": list(matrix.metrics),
-                                 "elements": list(matrix.elements), "cells": {}}))
+    head = json.dumps({"metrics": list(matrix.metrics), "elements": list(matrix.elements),
+                       "cells": {}}, indent=2, ensure_ascii=False)
     if not matrix.metrics:
-        yield head
+        yield head + "\n"
         return
-    yield head[:-len("{}\n}\n")] + "{\n"
+    yield head[:-len("{}\n}")] + "{\n"
     keys = [f"{_quote(element_id)}: " for element_id in matrix.elements]
     column = {element_id: i for i, element_id in enumerate(matrix.elements)}
     covered: dict[str, list] = {metric_id: [] for metric_id in matrix.metrics}
@@ -431,7 +407,8 @@ def cmd_explain(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     rule = kb.rule(args.rule_id)
     condition = None if rule.condition is None else kb.condition(rule.condition)
     if args.format == "json":
-        return EXIT_OK, _json_chunks(_explain_json(rule, condition))
+        return EXIT_OK, (json.dumps(_explain_json(rule, condition), indent=2,
+                                    ensure_ascii=False) + "\n",)
     return EXIT_OK, _blocks(_explain_text(rule, condition))
 
 
@@ -645,7 +622,7 @@ def _script() -> NoReturn:
                     stream.flush()
             except OSError as exc:
                 if stream is sys.stdout:
-                    _print_error(CliError(f"cannot write standard output: {exc.strerror or exc}"))
+                    _print_error(_stdout_failed(exc))
                     code = EXIT_USAGE
     except KeyboardInterrupt:
         code = EXIT_INTERRUPTED

@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import moca
 from moca import engine, kb as kb_mod
-from moca.cli import (_assessment_layouts, _blocks, _diff_layouts, _json_chunks, _json_list,
-                      _matrix_csv, _matrix_json, _validate_json, main)
+from moca.cli import (_assessment_layouts, _blocks, _diff_layouts, _json_list, _matrix_csv,
+                      _matrix_json, _validate_json, main)
 from moca.kb import Finding, KnowledgeBase, Severity, seed_dir
 from moca.model import (AgileElement, ContextFlag, CulturalMetric, CultureLevel, ElementKind,
                         ImpactCondition, ImpactRule, ImpactSign, Level, MetricSource)
@@ -745,8 +745,7 @@ class TestOutputFailure:
                                                            argv, existing):
         monkeypatch.setattr(moca.cli, "_SLICE", 1)
         chunks_of = {name: getattr(moca.cli, name)
-                     for name in ("_blocks", "_json_chunks", "_json_list", "_matrix_json",
-                                  "_validate_json")}
+                     for name in ("_blocks", "_json_list", "_matrix_json", "_validate_json")}
         made, outer = [], []
 
         def interrupted(name):
@@ -1122,75 +1121,29 @@ def _dumps(value):
     return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
 
-def _json_text(value):
-    return "".join(_json_chunks(value))
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """The values handed to json.JSONEncoder.iterencode, which json.dumps with
+    an indent and any encoder of its own go through."""
+    calls = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def counting(self, value, *args, **kwargs):
+        calls.append(value)
+        return iterencode(self, value, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting)
+    return calls
 
 
-_json_strings = st.text(st.sampled_from('ab"\\\n\x1e\x00\u2028é中{}[],: 0') | st.characters(),
-                        max_size=8)
-_json_scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
-                 | _json_strings)
-_json_flat = _json_scalars | st.just([]) | st.just({})
-_flat_objects = st.dictionaries(_json_strings, _json_flat, min_size=1, max_size=4)
-_json_values = st.recursive(
-    _json_flat,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.lists(children, max_size=3).map(tuple)
-                      | st.dictionaries(_json_strings, children, max_size=4)
-                      | st.lists(_flat_objects, min_size=1, max_size=4)
-                      | st.lists(st.dictionaries(_json_strings, children, min_size=1, max_size=3),
-                                 min_size=1, max_size=3)),
-    max_leaves=12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(value=_json_values, size=st.integers(1, 5) | st.just(2000))
-def test_json_chunks_join_to_json_dumps_at_any_slice_size(value, size):
-    with unittest.mock.patch.object(moca.cli, "_SLICE", size):
-        chunks = list(_json_chunks(value))
-        assert "".join(chunks) == _dumps(value)
-    assert all(chunks)
-
-
-@pytest.mark.parametrize("value", [
-    {"findings": [{"message": "a},\n      {b", "line": 1}, {"message": "}, {", "line": None}]},
-    {"findings": [{"message": r"a},\n      {b"}, {"message": "}, {"}, {"message": "0"}]},
-    [{"m": "},\n    {"}, {"m": "}, {", "n": [0, "}, {"]}, {"o": {"p": "},\n      {"}}],
-    [[{"m": "},\n      {"}], [{"m": "x"}, {"n": "},\n        {"}]],
-    {"a": [], "b": {}, "c": [{}], "d": [{"e": []}, {"f": {}}], "g": [[], {}, [[]]]},
-    {1: [0], 2.5: {"x": [0]}, None: [{"0": 0}], True: "0"},
-])
-def test_json_text_on_separator_lookalikes_and_placeholders(value):
-    assert _json_text(value) == _dumps(value)
-
-
-@pytest.mark.parametrize("value", [
-    object(), {1, 2}, {"a": {1}}, [{"a": object()}], [[], {"a": [object()]}],
-    {("k",): 1}, {"a": {("k",): [1]}}, [{"a": 1}, {"b": frozenset()}],
-])
-def test_json_text_rejects_what_json_dumps_rejects(value):
-    with pytest.raises(TypeError):
-        _dumps(value)
-    with pytest.raises(TypeError):
-        _json_text(value)
-
-
-def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(monkeypatch, run):
+def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(encoder_calls, run):
     """The encoder lays out "valid" and "summary" in a few calls, and no
     finding: a renderer that fell back to a call per finding would still pass
     every golden."""
-    calls = []
-    iterencode = moca.cli._JSON.iterencode
-
-    def counting(value):
-        calls.append(value)
-        return iterencode(value)
-
-    monkeypatch.setattr(moca.cli._JSON, "iterencode", counting)
     code, out, _ = run("validate", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["findings"]) == 381
-    assert 0 < len(calls) <= 10
+    assert 0 < len(encoder_calls) <= 10
 
 
 @pytest.mark.parametrize("argv, records", [
@@ -1200,21 +1153,26 @@ def test_validate_json_lays_out_all_findings_in_a_few_encoder_calls(monkeypatch,
                   "--flag-b", "manager_attends_meeting"), 2, id="diff"),
     pytest.param(("diff", "--profile", "strong_hierarchy", "--all"), 48, id="diff-all"),
 ])
-def test_evaluate_and_diff_json_make_no_encoder_call(monkeypatch, run, argv, records):
+def test_evaluate_and_diff_json_make_no_encoder_call(encoder_calls, run, argv, records):
     """Every assessment and every diff is laid out by its fixed template: a
     renderer that fell back to the encoder would still pass every golden."""
-    calls = []
-    iterencode = moca.cli._JSON.iterencode
-
-    def counting(value):
-        calls.append(value)
-        return iterencode(value)
-
-    monkeypatch.setattr(moca.cli._JSON, "iterencode", counting)
     code, out, _ = run(*argv, "--format", "json")
     assert code == 0
     assert len(json.loads(out)) == records
-    assert calls == []
+    assert encoder_calls == []
+
+
+@pytest.mark.parametrize("argv, keys", [
+    pytest.param(("explain", "H5"), 8, id="explain"),
+    pytest.param(("matrix",), 3, id="matrix"),
+])
+def test_explain_and_matrix_json_make_one_encoder_call(encoder_calls, run, argv, keys):
+    """explain's payload and the matrix's ids take one encoder call; every
+    matrix row is laid out by its fixed template."""
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == keys
+    assert len(encoder_calls) == 1
 
 
 #: Strings at the edges of JSON escaping: quotes, backslashes, control
