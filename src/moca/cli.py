@@ -73,30 +73,42 @@ def resolve_kb_paths(kb_args: Sequence[str | Path | None] | None) -> tuple[Path,
     return tuple(paths)
 
 
-def _stdout_failed(exc: OSError) -> CliError:
-    """The error for a failed write to stdout. The process flushes stdout again
-    before it ends; pointing it at os.devnull drops the unwritten rest there, as
-    the Python docs' "Note on SIGPIPE" (signal module) does for a closed pipe."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-    return CliError(f"cannot write standard output: {exc.strerror or exc}")
+def _write_stdout(chunks: Iterable[str]):
+    """The one writer of stdout: each chunk as it is made, then a flush. What was
+    written before a failure stays, and the failure is a CliError (exit 2)."""
+    if sys.stdout is None:  # the process started with stdout closed
+        raise CliError("cannot write standard output: it is closed")
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The process flushes stdout again before it ends; pointing it at os.devnull drops
+        # the unwritten rest there, as the Python docs' "Note on SIGPIPE" (signal module)
+        # does for a closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise CliError(f"cannot write standard output: {exc.strerror or exc}") from None
+    except UnicodeEncodeError as exc:  # what was written stays, as for a broken pipe
+        raise CliError(f"cannot write standard output: {exc}") from None
+
+
+def _write_stderr(text: str):
+    """The one writer of stderr: the text, then a flush. It is dropped when stderr
+    is closed (None) or fails, and never goes to stdout."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
 
 
 def _emit(args: argparse.Namespace, chunks: Iterable[str]):
     """Write the chunks as they are made, to stdout (kept up to a failure) or
     --out; a regular --out file is replaced whole, mode kept, or left as it was."""
     if args.out is None:
-        if sys.stdout is None:  # the process started with stdout closed
-            raise CliError("cannot write standard output: it is closed")
-        try:
-            for chunk in chunks:
-                sys.stdout.write(chunk)
-            sys.stdout.flush()
-        except OSError as exc:
-            raise _stdout_failed(exc) from None
-        except UnicodeEncodeError as exc:  # what was written stays, as for a broken pipe
-            raise CliError(f"cannot write standard output: {exc}") from None
+        _write_stdout(chunks)
         return
     target = Path(os.path.realpath(args.out))
     inputs = args.kb + ((args.profile_file,) if args.profile_file else ())
@@ -181,8 +193,7 @@ def _require_kb(args: argparse.Namespace) -> KnowledgeBase:
     """Load the KB for a non-validate command; findings go to stderr."""
     result = kb_mod.load(args.kb)
     if result.kb is None:
-        for finding in result.report.findings:
-            print(_finding_line(finding), file=sys.stderr)
+        _write_stderr("".join(_finding_line(f) + "\n" for f in result.report.findings))
         raise CliError("knowledge base is not usable",
                        _report_exit_code(result.report.errors))
     return result.kb
@@ -197,14 +208,18 @@ def _profiles(kb: KnowledgeBase, args: argparse.Namespace) -> dict[str, Cultural
     if report.has_errors:
         raise CliError("; ".join(f.message + _where(f) for f in report.errors))
     metric_ids = {m.id for m in kb.metrics}
+    from_file: dict[str, CulturalProfile] = {}
     for profile in loaded:
+        if profile.name in from_file:  # as a KB's duplicate-id finding words it
+            raise CliError(f"duplicate profile id '{profile.name}' "
+                           f"({kb_mod._file_name(args.profile_file)})")
         unknown = sorted(set(profile.values) - metric_ids)
         if unknown:
             raise CliError(
                 f"profile '{profile.name}' references unknown metrics: "
                 f"{', '.join(unknown)}")
-        profiles[profile.name] = profile
-    return profiles
+        from_file[profile.name] = profile
+    return profiles | from_file
 
 
 def _profile(profiles: dict[str, CulturalProfile], name: str | None) -> CulturalProfile:
@@ -520,16 +535,15 @@ def _add_scenario_options(p: argparse.ArgumentParser):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose failed write to stdout raises, for main to report. A
-    failed write elsewhere is dropped, as argparse drops every one (from 3.11 on)."""
+    """An ArgumentParser whose help goes through _write_stdout, so help that stdout
+    does not take ends as any other output does, and whose usage and errors go
+    through _write_stderr."""
+
+    def print_help(self):
+        _write_stdout((self.format_help(),))
 
     def _print_message(self, message, file=None):
-        file = file or sys.stderr
-        try:
-            file.write(message)
-        except (AttributeError, OSError):
-            if file is sys.stdout:
-                raise
+        _write_stderr(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,35 +589,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_error(exc: Exception):
-    """One 'error:' line on stderr, when stderr can still be written."""
-    try:
-        print(f"error: {exc}", file=sys.stderr)
-    except OSError:
-        pass
-
-
 @_gc_paused
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command: the one place that writes its output and turns errors
     into exit codes."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except OSError as exc:  # from _Parser: help that stdout did not take
-        _print_error(_stdout_failed(exc))
-        return EXIT_USAGE
-    try:
         args.kb = resolve_kb_paths(args.kb)
         code, chunks = args.run(args)  # the code is known before the first write
         _emit(args, chunks)
         return code
+    except SystemExit as exc:  # from argparse, after help, usage or an error
+        return int(exc.code or 0)
     except CliError as exc:
-        _print_error(exc)
+        _write_stderr(f"error: {exc}\n")
         return exc.exit_code
     except (UnknownEntityError, ConfigurationError) as exc:
-        _print_error(exc)
+        _write_stderr(f"error: {exc}\n")
         return EXIT_USAGE
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
@@ -612,18 +614,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _script() -> NoReturn:
     """The `moca` script and `python -m moca.cli`: main(), the atexit handlers,
     a flush, then os._exit, which skips the interpreter's teardown (as mypy's
-    runs end). A stdout that fails the flush is exit 2, as in _emit; Ctrl-C 130."""
+    runs end). A stdout that fails the flush is exit 2, as in main; Ctrl-C 130."""
     try:
         code = main()
         atexit._run_exitfuncs()
-        for stream in (sys.stdout, sys.stderr):
-            try:
-                if stream is not None:
-                    stream.flush()
-            except OSError as exc:
-                if stream is sys.stdout:
-                    _print_error(_stdout_failed(exc))
-                    code = EXIT_USAGE
+        try:
+            if sys.stdout is not None:
+                _write_stdout(())
+        except CliError as exc:
+            _write_stderr(f"error: {exc}\n")
+            code = EXIT_USAGE
+        _write_stderr("")  # only its flush
     except KeyboardInterrupt:
         code = EXIT_INTERRUPTED
     os._exit(code)

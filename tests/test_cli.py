@@ -1,3 +1,4 @@
+import argparse
 import atexit
 import contextlib
 import csv
@@ -281,6 +282,14 @@ class TestEvaluate:
                            "--profile-file", str(profile_file))
         assert code == 2
         assert "ZZZ" in err
+
+    def test_profile_file_with_a_duplicate_name_exits_2(self, run, tmp_path):
+        """As a KB with two profiles of one name is refused: the later does not win."""
+        profile_file = tmp_path / "extra.json"
+        profile_file.write_text(json.dumps([{"name": "p", "values": {"PDI": 10}},
+                                            {"name": "p", "values": {"PDI": 90}}]))
+        assert run("evaluate", "--profile", "p", "--profile-file", str(profile_file)) == (
+            2, "", f"error: duplicate profile id 'p' ({profile_file})\n")
 
     def test_element_selection(self, run):
         code, out, _ = run(*EVAL_ARGS, "--element", "daily_meeting",
@@ -583,8 +592,10 @@ class TestKbResolution:
         assert "validate" in out
 
 
-def _run_child(*argv, stdout, buffered, preexec_fn=None, site_dir=None):
-    """`moca ARGV` in a child interpreter; returns its exit code and stderr.
+def _run_child(*argv, stdout, buffered, stderr=subprocess.PIPE, preexec_fn=None,
+               site_dir=None):
+    """`moca ARGV` in a child interpreter; returns its exit code and stderr (None
+    when stderr is not a pipe to this process).
 
     Its stdout is block-buffered, as a pipe or file is when PYTHONUNBUFFERED
     is unset, or unbuffered; site_dir, if given, is put first on its path."""
@@ -595,9 +606,8 @@ def _run_child(*argv, stdout, buffered, preexec_fn=None, site_dir=None):
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     child = subprocess.run([sys.executable, "-m", "moca.cli", *argv], stdout=stdout,
-                           stderr=subprocess.PIPE, env=env, preexec_fn=preexec_fn,
-                           timeout=120)
-    return child.returncode, child.stderr.decode()
+                           stderr=stderr, env=env, preexec_fn=preexec_fn, timeout=120)
+    return child.returncode, None if child.stderr is None else child.stderr.decode()
 
 
 #: Each child test runs its command both ways: a test host may set
@@ -621,8 +631,8 @@ class TestOutputFailure:
 
     @pytest.mark.parametrize("argv", [("--help",), ("explain", "--help")])
     def test_help_left_in_the_buffer_for_a_closed_pipe(self, argv):
-        """argparse writes help without a flush; the flush before the process
-        ends reports the broken pipe as every other stdout failure is."""
+        """Help goes through the one stdout writer, whose flush reports the
+        broken pipe as every other stdout failure is."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -633,8 +643,8 @@ class TestOutputFailure:
 
     @pytest.mark.parametrize("argv", [("--help",), ("explain", "--help")])
     def test_unbuffered_help_into_a_closed_pipe(self, argv):
-        """argparse drops a failed write of its own; the parser's write of help
-        to stdout raises instead, and ends as every other stdout failure does."""
+        """argparse drops a failed write of its own; help goes through the one
+        stdout writer instead, and ends as every other stdout failure does."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -643,14 +653,41 @@ class TestOutputFailure:
             os.close(write_end)
         assert (code, err) == (2, f"{CANNOT_WRITE}: {os.strerror(errno.EPIPE)}\n")
 
-    def test_failed_usage_write_to_stderr_is_dropped(self, monkeypatch):
-        """Also on Python 3.10, whose argparse lets that write's OSError raise."""
+    def test_failed_usage_write_to_stderr_is_dropped(self, run, monkeypatch, tmp_path):
+        """Also on Python 3.10, whose argparse lets that write's OSError raise; so
+        are a KB's findings. A closed stderr (None) never sends them to stdout."""
         class BrokenStderr(io.StringIO):
             def write(self, text):
                 raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
 
-        monkeypatch.setattr(sys, "stderr", BrokenStderr())
-        assert main(["no-such-command"]) == 2
+        for stderr in (BrokenStderr(), None):
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert run("no-such-command")[:2] == (2, "")
+            assert run("evaluate", "--profile", "p", "--kb", str(tmp_path / "missing"))[:2] == (
+                2, "")
+
+    @pytest.mark.parametrize("stderr", ["reader closed", "descriptor closed"])
+    def test_stderr_that_cannot_be_written(self, tmp_path, stderr):
+        """What goes to stderr is dropped, never sent to stdout; the exit code stays."""
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        write_kb(kb_dir, rules="RULE R1: HIGH ZZZ IMPACTS daily_meeting POSITIVE\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        where = ({"stderr": write_end} if stderr == "reader closed"
+                 else {"stderr": None, "preexec_fn": lambda: os.close(2)})
+        out = tmp_path / "stdout.txt"
+        ends = []
+        try:
+            for argv in ((*EVAL_ARGS, "--kb", str(tmp_path / "missing")),
+                         (*EVAL_ARGS, "--kb", str(kb_dir)), ("explain", "NOPE")):
+                for buffered in BUFFERING:
+                    with out.open("wb") as handle:
+                        code, _ = _run_child(*argv, stdout=handle, buffered=buffered, **where)
+                    ends.append((code, out.read_bytes()))
+        finally:
+            os.close(write_end)
+        assert ends == [(2, b"")] * 2 + [(1, b"")] * 2 + [(2, b"")] * 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device(self):
@@ -659,9 +696,10 @@ class TestOutputFailure:
         assert ends == [(2, f"{CANNOT_WRITE}: {os.strerror(errno.ENOSPC)}\n")] * 2
 
     def test_closed_stdout(self):
-        ends = [_run_child("validate", stdout=None, buffered=b, preexec_fn=lambda: os.close(1))
+        ends = [_run_child(*argv, stdout=None, buffered=b, preexec_fn=lambda: os.close(1))
+                for argv in (("validate",), ("--help",), ("explain", "--help"))
                 for b in BUFFERING]
-        assert ends == [(2, f"{CANNOT_WRITE}: it is closed\n")] * 2
+        assert ends == [(2, f"{CANNOT_WRITE}: it is closed\n")] * 6
 
     def test_stdout_encoding_that_cannot_hold_a_kb_character(self, monkeypatch, tmp_path):
         kb_dir = tmp_path / "kb"
@@ -821,6 +859,18 @@ class TestProcessExit:
             assert stat.S_IMODE(child.stat().st_mode) == 0o640
             assert sorted(path.name for path in tmp_path.iterdir()) == [child.name,
                                                                         reference.name]
+
+    def test_help_is_the_parser_s(self, monkeypatch, tmp_path):
+        """Each parser's --help writes exactly its format_help()."""
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = moca.cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        out = tmp_path / "stdout.txt"
+        for argv, p in [((), parser), *(((name,), p) for name, p in sub.choices.items())]:
+            for buffered in BUFFERING:
+                with out.open("wb") as handle:
+                    ends = _run_child(*argv, "--help", stdout=handle, buffered=buffered)
+                assert (ends, out.read_text(encoding="utf-8")) == ((0, ""), p.format_help())
 
     def test_interrupt_after_main_is_exit_130(self, monkeypatch, capsys):
         """A Ctrl-C while the atexit handlers run or the output is flushed."""
