@@ -133,7 +133,7 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str]):
         finally:
             Path(temp).unlink(missing_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot write '{args.out}': {exc}") from None
+        raise CliError(f"cannot write '{args.out}': {exc.strerror or exc}") from None
 
 
 #: Records or lines per chunk; matrix rows go one a chunk.
@@ -205,21 +205,11 @@ def _profiles(kb: KnowledgeBase, args: argparse.Namespace) -> dict[str, Cultural
     if args.profile_file is None:
         return profiles
     loaded, report = kb_mod.load_profiles(args.profile_file)
-    if report.has_errors:
-        raise CliError("; ".join(f.message + _where(f) for f in report.errors))
-    metric_ids = {m.id for m in kb.metrics}
-    from_file: dict[str, CulturalProfile] = {}
-    for profile in loaded:
-        if profile.name in from_file:  # as a KB's duplicate-id finding words it
-            raise CliError(f"duplicate profile id '{profile.name}' "
-                           f"({kb_mod._file_name(args.profile_file)})")
-        unknown = sorted(set(profile.values) - metric_ids)
-        if unknown:
-            raise CliError(
-                f"profile '{profile.name}' references unknown metrics: "
-                f"{', '.join(unknown)}")
-        from_file[profile.name] = profile
-    return profiles | from_file
+    errors = (*report.errors, *kb_mod._unknown_metrics(
+        loaded, kb._metric_index, kb_mod._file_name(args.profile_file)))
+    if errors:
+        raise CliError("; ".join(f.message + _where(f) for f in errors))
+    return profiles | {p.name: p for p in loaded}
 
 
 def _profile(profiles: dict[str, CulturalProfile], name: str | None) -> CulturalProfile:

@@ -308,7 +308,8 @@ def diff(kb: KnowledgeBase, ctx_a: EvaluationContext,
         score_b = sum(outcome.value for outcome in outcomes_b)
         changed = tuple(rule.id for rule, a, b in zip(rules, outcomes_a, outcomes_b)
                         if a is not b)
-        diffs.append(ElementDiff(element_id, score_a, score_b, score_b - score_a, changed))
+        diffs.append(ElementDiff._unchecked(element_id, score_a, score_b, score_b - score_a,
+                                            changed))
     return tuple(diffs)
 
 

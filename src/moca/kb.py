@@ -158,14 +158,25 @@ def _reference_findings(kb: KnowledgeBase) -> list[Finding]:
                     f"relation {relation!r}", rule.id)
             relations.add(relation)
 
-    for profile in kb.profiles:
-        for metric_id in profile.values:
-            if metric_id not in metrics:
-                err("dangling-metric",
-                    f"profile '{profile.name}' references unknown metric '{metric_id}'",
-                    profile.name)
-
+    findings.extend(_unknown_metrics(kb.profiles, metrics))
     return findings
+
+
+def _duplicate_ids(entities: Iterable, key: str, label: str, path: str | None = None):
+    """A duplicate-id finding for each entity whose id (key) an earlier one has, in order."""
+    seen = set()
+    for entity_id in map(attrgetter(key), entities):
+        if entity_id in seen:
+            yield Finding(Severity.ERROR, "duplicate-id", f"duplicate {label} id '{entity_id}'",
+                          entity_id=entity_id, path=path)
+        seen.add(entity_id)
+
+
+def _unknown_metrics(profiles: Iterable[CulturalProfile], metrics: dict, path: str | None = None):
+    """A dangling-metric finding for each profile value whose metric is unknown, in order."""
+    return (Finding(Severity.ERROR, "dangling-metric", f"profile '{profile.name}' references "
+                    f"unknown metric '{metric_id}'", entity_id=profile.name, path=path)
+            for profile in profiles for metric_id in profile.values if metric_id not in metrics)
 
 
 def _count_findings(kb: KnowledgeBase) -> Iterable[Finding]:
@@ -231,15 +242,8 @@ class KnowledgeBase:
         for name, label, key in _INDEXED:
             entities = tuple(getattr(self, name))
             index = dict(zip(map(attrgetter(key), entities), entities))
-            if len(index) < len(entities):  # a duplicate id: word each one in order
-                index = {}
-                for entity in entities:
-                    entity_id = getattr(entity, key)
-                    if entity_id in index:
-                        findings.append(Finding(
-                            Severity.ERROR, "duplicate-id",
-                            f"duplicate {label} id '{entity_id}'", entity_id=entity_id))
-                    index[entity_id] = entity
+            if len(index) < len(entities):  # a duplicate id
+                findings.extend(_duplicate_ids(entities, key, label))
             object.__setattr__(self, name, entities)
             object.__setattr__(self, f"_{label}_index", index)
         findings.extend(_reference_findings(self))
@@ -562,7 +566,7 @@ def load_kb(paths: Iterable[str | Path]) -> KnowledgeBase:
 
 
 def load_profiles(path: str | Path) -> tuple[tuple[CulturalProfile, ...], ValidationReport]:
-    """Read one profiles file; reference checks happen against a KB later."""
+    """Read one profiles file; a name used twice is a duplicate-id, metrics are checked later."""
     out = _Collector()
     file_path = Path(path)
     _read_file(file_path, _read_json_file, out)
@@ -572,6 +576,7 @@ def load_profiles(path: str | Path) -> tuple[tuple[CulturalProfile, ...], Valida
                   entity_id=stray.id, path=name)
     if out.found["manifest"]:
         out.error("invalid-entity", "expected only profiles, found a manifest", path=name)
+    out.findings.extend(_duplicate_ids(out.found["profile"], "name", "profile", name))
     return tuple(out.found["profile"]), ValidationReport(tuple(out.findings))
 
 

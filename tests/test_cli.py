@@ -278,10 +278,16 @@ class TestEvaluate:
         profile_file = tmp_path / "extra.json"
         profile_file.write_text(json.dumps(
             [{"name": "custom", "values": {"ZZZ": 90}}]))
-        code, _, err = run("evaluate", "--profile", "custom",
-                           "--profile-file", str(profile_file))
-        assert code == 2
-        assert "ZZZ" in err
+        assert run("evaluate", "--profile", "custom", "--profile-file", str(profile_file)) == (
+            2, "", f"error: profile 'custom' references unknown metric 'ZZZ' ({profile_file})\n")
+
+    def test_profile_file_names_every_unknown_metric_in_file_order(self, run, tmp_path):
+        profile_file = tmp_path / "extra.json"
+        profile_file.write_text(json.dumps([{"name": "b", "values": {"PDI": 10, "ZZZ": 90}},
+                                            {"name": "a", "values": {"YYY": 50}}]))
+        assert run("evaluate", "--profile", "a", "--profile-file", str(profile_file)) == (
+            2, "", f"error: profile 'b' references unknown metric 'ZZZ' ({profile_file}); "
+                   f"profile 'a' references unknown metric 'YYY' ({profile_file})\n")
 
     def test_profile_file_with_a_duplicate_name_exits_2(self, run, tmp_path):
         """As a KB with two profiles of one name is refused: the later does not win."""
@@ -567,11 +573,17 @@ class TestKbResolution:
 
     def test_out_into_missing_directory_exits_2(self, run, tmp_path):
         target = tmp_path / "missing" / "matrix.csv"
-        code, out, err = run("matrix", "--out", str(target))
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: cannot write '{target}'")
+        assert run("matrix", "--out", str(target)) == (
+            2, "", f"error: cannot write '{target}': No such file or directory\n")
         assert not target.parent.exists()
+
+    def test_out_under_a_file_exits_2(self, run, tmp_path):
+        """The message names --out and the reason, not the temporary file beside it."""
+        (tmp_path / "FILE").write_text("kept")
+        target = tmp_path / "FILE" / "matrix.csv"
+        assert run("matrix", "--out", str(target)) == (
+            2, "", f"error: cannot write '{target}': Not a directory\n")
+        assert (tmp_path / "FILE").read_text() == "kept"
 
     @pytest.mark.parametrize("route", ["kb", "env"])
     def test_unstatable_kb_path_is_an_io_error(self, run, monkeypatch, tmp_path, route):

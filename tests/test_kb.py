@@ -587,6 +587,18 @@ class TestProfilesFile:
         _, report = load_profiles(tmp_path / "nope.json")
         assert codes(report) == ["io-error"]
 
+    def test_load_profiles_refuses_a_name_used_twice(self, tmp_path):
+        """As a KB refuses two profiles of one name: one duplicate-id, located."""
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([{"name": "p", "values": {"PDI": 10}},
+                                    {"name": "p", "values": {"PDI": 90}}]))
+        profiles, report = load_profiles(path)
+        assert [p.name for p in profiles] == ["p", "p"]
+        assert report.has_errors
+        assert report.findings == (Finding(Severity.ERROR, "duplicate-id",
+                                           "duplicate profile id 'p'", entity_id="p",
+                                           path=str(path)),)
+
 
 def test_seed_paths_exist():
     paths = seed_kb_paths()

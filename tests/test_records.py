@@ -326,16 +326,18 @@ def test_factory_record_is_the_constructor_record(cls):
 
 
 def test_records_from_the_factory_paths_are_constructor_records(seed_kb):
-    """The rules, findings, matrix entries, contributions and assessments that
-    parse, validate_completeness, export_matrix and evaluate build through the
-    factories equal the records their public constructors build."""
+    """The rules, findings, matrix entries, contributions, assessments and diffs
+    that parse, validate_completeness, export_matrix, evaluate and diff build
+    through the factories equal the records their public constructors build."""
     ctx = EvaluationContext(seed_kb.profile("strong_hierarchy"), {"manager_attends_meeting"})
     assessments = engine.evaluate(seed_kb, ctx)
+    other = EvaluationContext(seed_kb.profile("flat_hierarchy"), set())
     made = [*seed_kb.rules, *kb.validate_completeness(seed_kb).findings, *assessments,
+            *engine.diff(seed_kb, ctx, other),
             *(c for a in assessments for c in a.contributions),
             *(e for entries in engine.export_matrix(seed_kb).cells.values() for e in entries)]
     assert {type(record) for record in made} == {
-        ImpactRule, Finding, Assessment, Contribution, MatrixEntry}
+        ImpactRule, Finding, Assessment, Contribution, MatrixEntry, ElementDiff}
     for record in made:
         cls = type(record)
         public = cls(*(getattr(record, name) for name in cls.__match_args__))
@@ -364,7 +366,9 @@ print(json.dumps([sorted(built), sorted(cls.__name__ for cls in records)]))
     (["validate"], ["Finding", "ImpactRule"]),
     (["matrix"], ["ImpactRule", "MatrixEntry"]),
     (["evaluate", "--profile", "strong_hierarchy"], ["Assessment", "Contribution", "ImpactRule"]),
-], ids=["import", "explain", "validate", "matrix", "evaluate"])
+    (["diff", "--profile-a", "strong_hierarchy", "--profile-b", "flat_hierarchy"],
+     ["ElementDiff", "ImpactRule"]),
+], ids=["import", "explain", "validate", "matrix", "evaluate", "diff"])
 def test_factories_are_made_on_first_use(argv, built):
     """Importing moca.cli builds no factory, and a command builds only those of
     the records it makes through one. Every record but KnowledgeBase has one."""
